@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exact import Mode, SizeCapError
+from .exact import SizeCapError
 from .pgf import JointDegreeDistribution, ModelParams
 
 # Walking all 2^(n*m) graphs stays under a few seconds up to this bound.
@@ -238,4 +238,4 @@ def exhaustive_joint(
         tuple(sum(int(grid[a, b, e]) * weights[e] for e in range(nm + 1)) for b in range(m))
         for a in range(n)
     )
-    return JointDegreeDistribution(params, Mode.EXACT, pmf)
+    return JointDegreeDistribution(params, pmf)

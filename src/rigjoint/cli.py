@@ -21,7 +21,6 @@ from .pgf import (
     eval_joint_pgf,
     joint_pmf,
     marginal_pmf,
-    moment_table,
     recombination_check,
 )
 from .stats import chi_square, moments, tv_distance
@@ -34,7 +33,11 @@ EXIT_TOO_LARGE = 3
 ENV_EXACT_CAP = "RIGJOINT_EXACT_CAP"
 DEFAULT_EXACT_CAP = 40
 
-# Fixed nonzero rational probes for the verify command's transform identity.
+# Longest --p-grid that scan accepts.
+MAX_GRID_POINTS = 10_000
+
+# Fixed rational probes at which verify compares the joint PGF with the
+# enumerated pmf's polynomial.
 _VERIFY_POINTS = [
     (Fraction(2, 3), Fraction(3, 5)),
     (Fraction(-1, 2), Fraction(5, 4)),
@@ -61,12 +64,23 @@ def _dec(value) -> str:
     return f"{float(value):.17g}"
 
 
+def _digits(value: int) -> str:
+    """Decimal digits of an integer; SizeCapError past Python's int-to-str limit."""
+    try:
+        return str(value)
+    except ValueError as exc:  # str(int) raises only at the limit, a process-wide setting
+        raise SizeCapError(
+            f"result has an integer of more than {sys.get_int_max_str_digits()} digits, "
+            "over Python's integer-to-string limit"
+        ) from exc
+
+
 def _frac(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
 
 
 def _json_frac(value: Fraction) -> dict:
-    return {"num": str(value.numerator), "den": str(value.denominator)}
+    return {"num": _digits(value.numerator), "den": _digits(value.denominator)}
 
 
 def _params_json(params: ModelParams) -> dict:
@@ -242,21 +256,15 @@ def cmd_verify(args) -> int:
                 recomb_ok = False
     checks.append(("edge_split_recombination", recomb_ok))
 
-    table = moment_table(params)
-    transform_ok = True
-    for x, y in _VERIFY_POINTS:
-        direct = eval_joint_pgf(params, x, y)
-        via_table = (
-            x ** (params.n - 1)
-            * y ** (params.m - 1)
-            * sum(
-                table.entries[k][l] * (1 / x - 1) ** k * (1 / y - 1) ** l
-                for k in range(params.n)
-                for l in range(params.m)
-            )
+    transform_ok = all(
+        eval_joint_pgf(params, x, y)
+        == sum(
+            prob * x**a * y**b
+            for a, row in enumerate(oracle.pmf)
+            for b, prob in enumerate(row)
         )
-        if direct != via_table:
-            transform_ok = False
+        for x, y in _VERIFY_POINTS
+    )
     checks.append(("pgf_transform_identity", transform_ok))
 
     all_ok = all(ok for _, ok in checks)
@@ -292,12 +300,10 @@ def _parse_grid(text: str) -> list:
         raise ValueError("--p-grid start must not exceed stop")
     if start < 0 or stop > 1:
         raise ValueError("--p-grid must stay within [0, 1]")
-    values = []
-    value = start
-    while value <= stop:
-        values.append(value)
-        value += step
-    return values
+    count = (stop - start) // step + 1
+    if count > MAX_GRID_POINTS:
+        raise SizeCapError(f"--p-grid has {count} points; scan is capped at {MAX_GRID_POINTS}")
+    return [start + i * step for i in range(count)]
 
 
 def cmd_scan(args) -> int:

@@ -1,11 +1,12 @@
 """Exact-arithmetic substrate: rationals, binomials, and the exact/float switch.
 
 Every probability computation in this package runs entirely in one arithmetic
-mode: exact (``fractions.Fraction``) or double precision (``float``). Exact
-mode is the default and the only mode used for pmf extraction; float mode is
-intended for point evaluation of generating functions and for moments at
-sizes where big rationals get expensive. The two are never mixed inside a
-computation.
+mode: exact or double precision (``float``). Exact mode is the default and the
+only mode for pmfs: with p = a/b it carries integers over the common
+denominator b^(n*m) from the moment table to the pmf, and hands results out as
+``fractions.Fraction``. Float mode covers point evaluation of generating
+functions and moments only, at sizes where big integers get expensive. The
+two are never mixed inside a computation.
 """
 
 from __future__ import annotations

@@ -17,15 +17,17 @@ equal a sum over k marked vertices and l marked objects of the probability
 that the tracked pair avoids all of them, and that probability splits on
 whether the tracked vertex-object edge is present (``*_given_edge`` /
 ``*_given_nonedge`` below). The split collapses into a closed product form
-(``moment_entry``), and the pmf of (Y1, Y2) is recovered from the table by a
-signed double binomial transform, i.e. inclusion-exclusion (``sieve_invert``);
-reversing indices gives the law of (X, Y). The joint and marginal probability
-generating functions have matching closed forms evaluated by ``eval_joint_pgf``
-and ``eval_marginal_pgf``.
+(``_closed_form``), and the pmf of (Y1, Y2) is recovered from the table by a
+signed binomial transform along each axis, i.e. inclusion-exclusion
+(``sieve_invert``); reversing indices gives the law of (X, Y). The joint PGF
+is F(x, y) = u(x)^T N v(y) with u_k = x^(n-1-k) (1-x)^k and v_l likewise in y.
 
-pmf extraction always runs in exact rational arithmetic: the signed transform
-cancels catastrophically in floating point. Float mode is supported for PGF
-point evaluation and for moments.
+Exact mode runs in integers. With p = a/b, every table cell is an integer
+over the common denominator b^(n*m) (``MomentTable``), the transform only
+adds and subtracts those integers, and each probability becomes a Fraction
+at the end. The transform cancels catastrophically in floating point, so
+there is no float pmf: float mode covers PGF point evaluation
+(``eval_joint_pgf``, ``eval_marginal_pgf``) and moments (``moment_entry``).
 """
 
 from __future__ import annotations
@@ -47,15 +49,6 @@ class Side(Enum):
     PASSIVE = "passive"
 
 
-class SieveCancellationError(ArithmeticError):
-    """Float-mode inversion produced a negative probability beyond roundoff."""
-
-
-# Float-mode inversion: entries below -CLAMP_TOL are treated as genuine
-# cancellation failure, larger (tiny negative) values are clamped to zero.
-CLAMP_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters (n, m, p) of the random bipartite graph."""
@@ -74,27 +67,47 @@ class ModelParams:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
 
 
+def _basis(t: Fraction, size: int) -> list:
+    """Numerators of t^(size-1-k) (1-t)^k, k = 0..size-1, over den(t)^(size-1)."""
+    a, b = t.numerator, t.denominator
+    return [a ** (size - 1 - k) * (b - a) ** k for k in range(size)]
+
+
 @dataclass(frozen=True)
 class MomentTable:
-    """Dense table of falling moments; ``entries[k][l]`` = N[k][l]."""
+    """Falling moments over one denominator: N[k][l] = numerators[k][l] / scale."""
 
     params: ModelParams
-    mode: Mode
-    entries: tuple
+    scale: int
+    numerators: tuple
 
     def __post_init__(self):
         n, m = self.params.n, self.params.m
-        if len(self.entries) != n or any(len(row) != m for row in self.entries):
+        if len(self.numerators) != n or any(len(row) != m for row in self.numerators):
             raise ValueError("moment table dimensions do not match params")
-        if any(e < 0 for row in self.entries for e in row):
+        if self.scale < 1:
+            raise ValueError(f"scale must be a positive integer, got {self.scale}")
+        if any(e < 0 for row in self.numerators for e in row):
             raise ValueError("moment entries must be nonnegative")
-        head = self.entries[0][0]
-        ok = head == 1 if self.mode is Mode.EXACT else abs(head - 1.0) < 1e-12
-        if not ok:
-            raise ValueError(f"entry (0,0) must equal 1, got {head}")
+        if self.numerators[0][0] != self.scale:
+            raise ValueError(f"entry (0,0) must equal 1, got {self.entry(0, 0)}")
 
-    def entry(self, k: int, l: int) -> Scalar:
-        return self.entries[k][l]
+    def entry(self, k: int, l: int) -> Fraction:
+        return Fraction(self.numerators[k][l], self.scale)
+
+    def eval_pgf(self, x: Scalar, y: Scalar) -> Fraction:
+        """Exact joint PGF F(x, y) = u(x)^T N v(y), summed in integers.
+
+        u_k = x^(n-1-k) (1-x)^k and v_l = y^(m-1-l) (1-y)^l.
+        """
+        x, y = as_scalar(x, Mode.EXACT), as_scalar(y, Mode.EXACT)
+        n, m = self.params.n, self.params.m
+        v = _basis(y, m)
+        total = sum(
+            uk * sum(e * vl for e, vl in zip(row, v))
+            for uk, row in zip(_basis(x, n), self.numerators)
+        )
+        return Fraction(total, self.scale * x.denominator ** (n - 1) * y.denominator ** (m - 1))
 
 
 @dataclass(frozen=True)
@@ -102,7 +115,6 @@ class JointDegreeDistribution:
     """Joint pmf of the degree pair; ``pmf[a][b]`` = P(X=a, Y=b)."""
 
     params: ModelParams
-    mode: Mode
     pmf: tuple
 
     def __post_init__(self):
@@ -112,13 +124,10 @@ class JointDegreeDistribution:
         if any(v < 0 for row in self.pmf for v in row):
             raise ValueError("pmf entries must be nonnegative")
         total = sum(v for row in self.pmf for v in row)
-        if self.mode is Mode.EXACT:
-            if total != 1:
-                raise ValueError(f"pmf must sum to exactly 1, got {total}")
-        elif abs(total - 1.0) > 1e-6:
-            raise ValueError(f"pmf sums to {total}, too far from 1")
+        if total != 1:
+            raise ValueError(f"pmf must sum to exactly 1, got {total}")
 
-    def prob(self, a: int, b: int) -> Scalar:
+    def prob(self, a: int, b: int) -> Fraction:
         return self.pmf[a][b]
 
     def marginal(self, side: Side) -> tuple:
@@ -133,18 +142,14 @@ class MarginalDistribution:
     """One-dimensional degree law on one side of the projection pair."""
 
     side: Side
-    mode: Mode
     pmf: tuple
 
     def __post_init__(self):
         if any(v < 0 for v in self.pmf):
             raise ValueError("pmf entries must be nonnegative")
         total = sum(self.pmf)
-        if self.mode is Mode.EXACT:
-            if total != 1:
-                raise ValueError(f"pmf must sum to exactly 1, got {total}")
-        elif abs(total - 1.0) > 1e-6:
-            raise ValueError(f"pmf sums to {total}, too far from 1")
+        if total != 1:
+            raise ValueError(f"pmf must sum to exactly 1, got {total}")
 
 
 def _coerced_p(params: ModelParams, mode: Mode):
@@ -223,14 +228,20 @@ def cond_nonadjacency_given_nonedge(
     return total
 
 
-def _moment_entry_from_powers(n, m, p, q, qpow, ppow, k, l):
-    """Closed product form of N[k][l], given precomputed powers of p and q."""
-    inner = qpow[0] - qpow[0]  # zero of the carrier type
-    for i in range(l + 1):
-        inner += binom(l, i) * ppow[i] * qpow[l - i] * (qpow[i + 1] + p * qpow[l]) ** k
-    bracket = qpow[k + l] * p + q * inner
-    per_object = 1 - p + p * qpow[k]  # one object misses all k marked vertices
-    per_vertex = 1 - p + p * qpow[l]
+def _closed_form(n: int, m: int, a, c, b, k: int, l: int):
+    """Closed product form of N[k][l] for p = a/b and q = c/b.
+
+    Returns the numerator over b^(n*m - (n-1-k)*(m-1-l)). Exact mode passes
+    integers with c = b - a; float mode passes (p, 1-p, 1.0), so the result is
+    N[k][l] itself.
+    """
+    inner = sum(
+        binom(l, i) * a**i * c ** (l - i) * (c ** (i + 1) * b ** (l - i) + a * c**l) ** k
+        for i in range(l + 1)
+    )
+    bracket = a * c ** (k + l) * b ** (k * l) + c * inner  # over b^((k+1)(l+1))
+    per_object = c * b**k + a * c**k  # one object misses all k marked vertices
+    per_vertex = c * b**l + a * c**l
     return (
         binom(n - 1, k)
         * binom(m - 1, l)
@@ -240,147 +251,85 @@ def _moment_entry_from_powers(n, m, p, q, qpow, ppow, k, l):
     )
 
 
-def _power_tables(p, highest: int):
-    one = p**0  # carrier-typed multiplicative identity
-    q = 1 - p
-    qpow, ppow = [one], [one]
-    for _ in range(highest):
-        qpow.append(qpow[-1] * q)
-        ppow.append(ppow[-1] * p)
-    return qpow, ppow
-
-
 def moment_entry(params: ModelParams, k: int, l: int, mode: Mode = Mode.EXACT) -> Scalar:
     """Falling moment N[k][l] = E[C(Y1,k) C(Y2,l)] of the non-neighbor counts."""
     _check_orders(params, k, l)
-    p = _coerced_p(params, mode)
-    qpow, ppow = _power_tables(p, k + l + 2)
-    return _moment_entry_from_powers(params.n, params.m, p, 1 - p, qpow, ppow, k, l)
+    n, m = params.n, params.m
+    if mode is Mode.FLOAT:
+        p = float(params.p)
+        return _closed_form(n, m, p, 1.0 - p, 1.0, k, l)
+    a, b = params.p.numerator, params.p.denominator
+    return Fraction(_closed_form(n, m, a, b - a, b, k, l), b ** (n * m - (n - 1 - k) * (m - 1 - l)))
 
 
-def moment_table(
-    params: ModelParams, mode: Mode = Mode.EXACT, max_cells: Optional[int] = None
-) -> MomentTable:
+def moment_table(params: ModelParams, max_cells: Optional[int] = None) -> MomentTable:
     """Dense table of all falling moments N[k][l], 0 <= k < n, 0 <= l < m.
 
-    ``max_cells`` caps n*m in exact mode, where each entry is a big rational;
+    Every cell is an integer over den(p)^(n*m). ``max_cells`` caps n*m;
     exceeding it raises SizeCapError.
     """
     n, m = params.n, params.m
-    if mode is Mode.EXACT and max_cells is not None and n * m > max_cells:
+    if max_cells is not None and n * m > max_cells:
         raise SizeCapError(f"exact moment table needs n*m <= {max_cells}, got {n * m}")
-    p = _coerced_p(params, mode)
-    qpow, ppow = _power_tables(p, n + m)
-    entries = tuple(
-        tuple(_moment_entry_from_powers(n, m, p, 1 - p, qpow, ppow, k, l) for l in range(m))
+    a, b = params.p.numerator, params.p.denominator
+    numerators = tuple(
+        tuple(
+            _closed_form(n, m, a, b - a, b, k, l) * b ** ((n - 1 - k) * (m - 1 - l))
+            for l in range(m)
+        )
         for k in range(n)
     )
-    return MomentTable(params, mode, entries)
+    return MomentTable(params, b ** (n * m), numerators)
 
 
-def _signed_transform(entries, n, m):
-    """counts[k][l] = sum over k'>=k, l'>=l of (-1)^((k'-k)+(l'-l)) C(k',k) C(l',l) N[k'][l'].
+def _sieve(values) -> list:
+    """c[k] = sum over k' >= k of (-1)^(k'-k) C(k',k) values[k'].
 
-    Computed one axis at a time; exact when fed exact entries.
+    These are the coefficients of P(z-1) for P(z) = sum values[k] z^k: a Taylor
+    shift by -1, done with O(s^2) subtractions and no multiplications.
     """
-    half = [
-        [
-            sum((-1) ** (lp - l) * binom(lp, l) * entries[kp][lp] for lp in range(l, m))
-            for l in range(m)
-        ]
-        for kp in range(n)
-    ]
-    return [
-        [
-            sum((-1) ** (kp - k) * binom(kp, k) * half[kp][l] for kp in range(k, n))
-            for l in range(m)
-        ]
-        for k in range(n)
-    ]
+    c = list(values)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] -= c[j + 1]
+    return c
 
 
-def _scaled_integer(value: Fraction, scale: int) -> int:
-    if scale % value.denominator:
-        raise ValueError("entry denominator incompatible with the model's edge probability")
-    return value.numerator * (scale // value.denominator)
+def _reversed_pmf(counts, scale: int) -> tuple:
+    """Probabilities counts[s-1-d] / scale for d = 0..s-1; rejects negative counts."""
+    if any(c < 0 for c in counts):
+        raise ValueError("not a valid falling-moment table (negative probability)")
+    return tuple(Fraction(c, scale) for c in reversed(counts))
 
 
 def sieve_invert(table: MomentTable) -> JointDegreeDistribution:
     """Recover the joint pmf of (X, Y) from the falling-moment table.
 
-    The signed double binomial transform of the table gives the pmf of the
-    non-neighbor pair (Y1, Y2); reversing both indices gives (X, Y). In exact
-    mode the transform runs over integers on the common denominator
-    den(p)^(n*m), so the result is exact and provably nonnegative for tables
-    that came from a genuine model. In float mode, entries in (-1e-9, 0) are
-    clamped to zero and anything more negative raises SieveCancellationError.
+    The signed binomial transform along l and then along k gives the pmf of
+    the non-neighbor pair (Y1, Y2); reversing both indices gives (X, Y). All
+    of it runs over the table's integers, so the result is exact, and any
+    negative probability means the table came from no model (ValueError).
     """
-    params, mode = table.params, table.mode
-    n, m = params.n, params.m
-    if mode is Mode.EXACT:
-        scale = params.p.denominator ** (n * m)
-        scaled = [[_scaled_integer(table.entries[k][l], scale) for l in range(m)] for k in range(n)]
-        counts = _signed_transform(scaled, n, m)
-        if any(c < 0 for row in counts for c in row):
-            raise ValueError("table is not a valid falling-moment table (negative pmf)")
-        pmf = tuple(
-            tuple(Fraction(counts[n - 1 - a][m - 1 - b], scale) for b in range(m))
-            for a in range(n)
-        )
-    else:
-        counts = _signed_transform([[float(e) for e in row] for row in table.entries], n, m)
-        low = min(c for row in counts for c in row)
-        if low < -CLAMP_TOL:
-            raise SieveCancellationError(
-                f"negative probability {low} beyond clamp tolerance; use exact mode"
-            )
-        pmf = tuple(
-            tuple(max(counts[n - 1 - a][m - 1 - b], 0.0) for b in range(m)) for a in range(n)
-        )
-    return JointDegreeDistribution(params, mode, pmf)
+    by_l = [_sieve(row) for row in table.numerators]
+    counts = zip(*(_sieve(col) for col in zip(*by_l)))
+    pmf = tuple(_reversed_pmf(row, table.scale) for row in reversed(list(counts)))
+    return JointDegreeDistribution(table.params, pmf)
 
 
-def joint_pmf(
-    params: ModelParams, mode: Mode = Mode.EXACT, max_cells: Optional[int] = None
-) -> JointDegreeDistribution:
+def joint_pmf(params: ModelParams, max_cells: Optional[int] = None) -> JointDegreeDistribution:
     """Exact joint pmf of (X, Y): moment table followed by sieve inversion."""
-    return sieve_invert(moment_table(params, mode, max_cells))
+    return sieve_invert(moment_table(params, max_cells))
 
 
 def eval_joint_pgf(params: ModelParams, x: Scalar, y: Scalar, mode: Mode = Mode.EXACT) -> Scalar:
     """Evaluate the joint PGF F(x, y) = E[x^X y^Y] at one point.
 
-    Exact mode evaluates the closed-form triple sum literally, term by term.
-    Float mode computes the same sum vectorized (see _eval_joint_float).
+    Exact mode reads F off the moment table (``MomentTable.eval_pgf``). Float
+    mode sums the closed form vectorized (see _eval_joint_float).
     """
-    x = as_scalar(x, mode)
-    y = as_scalar(y, mode)
     if mode is Mode.FLOAT:
-        return _eval_joint_float(params, x, y)
-    n, m = params.n, params.m
-    p = params.p
-    q = 1 - p
-    qpow, ppow = _power_tables(p, n + m)
-    xpow = [x ** (n - 1 - k) * (1 - x) ** k for k in range(n)]
-    ypow = [y ** (m - 1 - l) * (1 - y) ** l for l in range(m)]
-    per_object = [1 - p + p * qpow[k] for k in range(n)]
-    per_vertex = [1 - p + p * qpow[l] for l in range(m)]
-    total = zero(mode)
-    for k in range(n):
-        for l in range(m):
-            inner = zero(mode)
-            for i in range(l + 1):
-                inner += binom(l, i) * ppow[i] * qpow[l - i] * (qpow[i + 1] + p * qpow[l]) ** k
-            total += (
-                binom(n - 1, k)
-                * binom(m - 1, l)
-                * xpow[k]
-                * ypow[l]
-                * per_object[k] ** (m - 1 - l)
-                * per_vertex[l] ** (n - 1 - k)
-                * (qpow[k + l] * p + q * inner)
-            )
-    return total
+        return _eval_joint_float(params, float(x), float(y))
+    return moment_table(params).eval_pgf(x, y)
 
 
 def _eval_joint_float(params: ModelParams, x: float, y: float) -> float:
@@ -432,53 +381,34 @@ def eval_marginal_pgf(
     n, m = params.n, params.m
     size, other = (n, m) if side is Side.ACTIVE else (m, n)
     p = _coerced_p(params, mode)
-    qpow, _ = _power_tables(p, size)
+    q, qk = 1 - p, p**0  # qk = q^k, carried in the mode's type
     total = zero(mode)
     for k in range(size):
         total += (
             binom(size - 1, k)
             * t ** (size - 1 - k)
             * (1 - t) ** k
-            * (1 - p + p * qpow[k]) ** other
+            * (1 - p + p * qk) ** other
         )
+        qk *= q
     return total
 
 
-def _marginal_moments(params: ModelParams, side: Side, mode: Mode):
-    size, other = (params.n, params.m) if side is Side.ACTIVE else (params.m, params.n)
-    p = _coerced_p(params, mode)
-    qpow, _ = _power_tables(p, size)
-    return size, [binom(size - 1, k) * (1 - p + p * qpow[k]) ** other for k in range(size)]
+def marginal_pmf(params: ModelParams, side: Side) -> MarginalDistribution:
+    """Degree law on one side, by the one-dimensional sieve.
 
-
-def marginal_pmf(params: ModelParams, side: Side, mode: Mode = Mode.EXACT) -> MarginalDistribution:
-    """Degree law on one side, by one-dimensional sieve inversion.
-
-    Equals the corresponding row or column sums of ``joint_pmf`` exactly.
+    The marginal falling moments C(s-1,k) (1-p+p q^k)^o, with s the side's
+    size and o the other side's, are integers over den(p)^(n*m) like the
+    joint table. The result equals the row or column sums of ``joint_pmf``.
     """
-    size, moms = _marginal_moments(params, side, mode)
-    if mode is Mode.EXACT:
-        scale = params.p.denominator ** (params.n * params.m)
-        scaled = [_scaled_integer(v, scale) for v in moms]
-        counts = [
-            sum((-1) ** (kp - k) * binom(kp, k) * scaled[kp] for kp in range(k, size))
-            for k in range(size)
-        ]
-        if any(c < 0 for c in counts):
-            raise ValueError("marginal inversion produced a negative probability")
-        pmf = tuple(Fraction(counts[size - 1 - a], scale) for a in range(size))
-    else:
-        counts = [
-            sum((-1) ** (kp - k) * binom(kp, k) * moms[kp] for kp in range(k, size))
-            for k in range(size)
-        ]
-        low = min(counts)
-        if low < -CLAMP_TOL:
-            raise SieveCancellationError(
-                f"negative probability {low} beyond clamp tolerance; use exact mode"
-            )
-        pmf = tuple(max(counts[size - 1 - a], 0.0) for a in range(size))
-    return MarginalDistribution(side, mode, pmf)
+    size, other = (params.n, params.m) if side is Side.ACTIVE else (params.m, params.n)
+    a, b = params.p.numerator, params.p.denominator
+    c = b - a
+    moments = [
+        binom(size - 1, k) * (c * b**k + a * c**k) ** other * b ** (other * (size - 1 - k))
+        for k in range(size)
+    ]
+    return MarginalDistribution(side, _reversed_pmf(_sieve(moments), b ** (size * other)))
 
 
 def recombination_check(params: ModelParams, k: int, l: int, mode: Mode = Mode.EXACT):

@@ -26,6 +26,7 @@ from .pgf import (
     eval_joint_pgf,
     eval_marginal_pgf,
     moment_entry,
+    moment_table,
 )
 
 
@@ -82,13 +83,15 @@ def independence_gap(
     """max over the grid of |F(x,y) - F_X(x) F_Y(y)|.
 
     Zero on a coefficient-determining grid certifies independence of X and Y;
-    a positive gap anywhere certifies dependence.
+    a positive gap anywhere certifies dependence. Exact mode builds the moment
+    table once and reads F off it at every point.
     """
     if not grid:
         raise ValueError("independence grid must be nonempty")
+    table = moment_table(params) if mode is Mode.EXACT else None
     gap = zero(mode)
     for x, y in grid:
-        joint = eval_joint_pgf(params, x, y, mode)
+        joint = table.eval_pgf(x, y) if table is not None else eval_joint_pgf(params, x, y, mode)
         split = eval_marginal_pgf(params, Side.ACTIVE, x, mode) * eval_marginal_pgf(
             params, Side.PASSIVE, y, mode
         )
@@ -110,10 +113,7 @@ def tv_distance(dist: JointDegreeDistribution, emp: EmpiricalJointDistribution) 
         for a in range(dist.params.n)
         for b in range(dist.params.m)
     ]
-    if dist.mode is Mode.EXACT:
-        total = sum(abs(prob - Fraction(count, emp.trials)) for prob, count in cells)
-    else:
-        total = sum(abs(prob - count / emp.trials) for prob, count in cells)
+    total = sum(abs(prob - Fraction(count, emp.trials)) for prob, count in cells)
     return float(total) / 2.0
 
 
@@ -131,7 +131,7 @@ def chi_square(
     if emp.trials < 1:
         raise ValueError("empirical distribution has no trials")
     kept = []
-    pooled_expected, pooled_observed = zero(dist.mode), 0
+    pooled_expected, pooled_observed = Fraction(0), 0
     for a in range(dist.params.n):
         for b in range(dist.params.m):
             expected = emp.trials * dist.pmf[a][b]

@@ -1,8 +1,10 @@
 """Independent brute-force reference implementations.
 
 Everything here enumerates all 2^(n*m) bipartite graphs in plain Python with
-exact Fraction weights. No generating functions, no sieve, no numpy: these
-are the oracles the library is checked against, so they must stay dumb.
+exact Fraction weights, except the two ``pgf_from_*`` helpers at the end,
+which evaluate a given table term by term. No closed forms, no sieve, no
+numpy: these are the oracles the library is checked against, so they must
+stay dumb.
 """
 
 import math
@@ -81,3 +83,20 @@ def falling_moment(n, m, p, k, l):
 def law_as_table(law, n, m):
     """Dict law -> dense tuple-of-tuples table matching the library layout."""
     return tuple(tuple(law.get((a, b), Fraction(0)) for b in range(m)) for a in range(n))
+
+
+def pgf_from_pmf(pmf, x, y):
+    """F(x, y) = sum of pmf[a][b] x^a y^b over a dense pmf table."""
+    ys = [y**b for b in range(len(pmf[0]))]
+    return sum(x**a * sum(prob * yb for prob, yb in zip(row, ys)) for a, row in enumerate(pmf))
+
+
+def pgf_from_moments(table, x, y):
+    """F(x, y) = sum of N[k][l] x^(n-1-k) (1-x)^k y^(m-1-l) (1-y)^l over a dense
+    falling-moment table N, the binomial transform that links N to the pmf."""
+    n, m = len(table), len(table[0])
+    vs = [y ** (m - 1 - l) * (1 - y) ** l for l in range(m)]
+    return sum(
+        x ** (n - 1 - k) * (1 - x) ** k * sum(e * v for e, v in zip(row, vs))
+        for k, row in enumerate(table)
+    )

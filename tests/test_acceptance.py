@@ -10,6 +10,7 @@ from fractions import Fraction
 import scipy.stats
 
 from rigjoint import (
+    ENUMERATION_CAP,
     Mode,
     ModelParams,
     Side,
@@ -19,12 +20,13 @@ from rigjoint import (
     exhaustive_joint,
     joint_pmf,
     marginal_pmf,
-    moment_table,
     moments,
     recombination_check,
     tv_distance,
 )
 from rigjoint.cli import main
+
+from tests import reference
 
 
 def _report(num, name, ok, detail=""):
@@ -71,6 +73,10 @@ def test_criterion_03_marginal_consistency():
 
 
 def test_criterion_04_transform_identity():
+    # Exact F is read off the moment table, so it is compared with routes that
+    # do not go through the table: (i) the polynomial of the sieved pmf,
+    # (ii) the polynomial of the enumerated pmf, and (iii) the transform of the
+    # moments rebuilt from the edge-split conditionals.
     rnd = random.Random(2024)
     nonzero = [v for v in range(-9, 10) if v != 0]
     p_cycle = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 5)]
@@ -78,21 +84,26 @@ def test_criterion_04_transform_identity():
     for n in range(1, 13):
         for m in range(1, 13):
             params = ModelParams(n, m, p_cycle[(n + m) % 3])
-            table = moment_table(params)
+            polynomials = [joint_pmf(params).pmf]
+            if n * m <= ENUMERATION_CAP:
+                polynomials.append(exhaustive_joint(params).pmf)
+            rebuilt = None
+            if n <= 6 and m <= 6:
+                rebuilt = [
+                    [recombination_check(params, k, l)[0] for l in range(m)] for k in range(n)
+                ]
             for _ in range(20):
                 x = Fraction(rnd.choice(nonzero), rnd.randint(1, 6))
                 y = Fraction(rnd.choice(nonzero), rnd.randint(1, 6))
-                via_table = (
-                    x ** (n - 1)
-                    * y ** (m - 1)
-                    * sum(
-                        table.entries[k][l] * (1 / x - 1) ** k * (1 / y - 1) ** l
-                        for k in range(n)
-                        for l in range(m)
-                    )
-                )
-                ok = ok and eval_joint_pgf(params, x, y) == via_table
-    _report(4, "PGF transform identity at 20 random points (n,m <= 12)", ok)
+                value = eval_joint_pgf(params, x, y)
+                ok = ok and all(value == reference.pgf_from_pmf(pmf, x, y) for pmf in polynomials)
+                ok = ok and (rebuilt is None or value == reference.pgf_from_moments(rebuilt, x, y))
+    _report(
+        4,
+        "PGF equals the sieved and enumerated pmf polynomials and the edge-split "
+        "transform at 20 random points (n,m <= 12)",
+        ok,
+    )
 
 
 def test_criterion_05_recombination():

@@ -77,6 +77,16 @@ class TestPmfCommand:
         code, _, _ = run(capsys, ["pmf", "--n", "41", "--m", "2", "--p", "1/2"])
         assert code == 0
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rational_past_int_str_limit_exits_3(self, capsys, tmp_path, fmt):
+        # valid arguments whose common denominator (10^11)^400 has 4401 digits
+        target = tmp_path / "pmf.out"
+        argv = ["pmf", "--n", "20", "--m", "20", "--p", "1/100000000000", "--format", fmt]
+        code, out, err = run(capsys, argv + ["--output", str(target)])
+        assert code == 3
+        assert out == "" and not target.exists()
+        assert "4300 digits" in err
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "pmf.csv"
         code, out, _ = run(
@@ -155,6 +165,12 @@ class TestMomentsCommand:
         )
         doc = json.loads(out)
         assert doc["result"]["cov"] == {"num": "31", "den": "256"}
+
+    def test_rational_past_int_str_limit_exits_3(self, capsys):
+        code, out, err = run(capsys, ["moments", "--n", "2000", "--m", "2000", "--p", "1/100"])
+        assert code == 3
+        assert out == ""
+        assert "4300 digits" in err
 
 
 class TestSimulateCommand:
@@ -249,6 +265,14 @@ class TestScanCommand:
             assert code == 0
             for line in out.splitlines()[1:]:
                 assert float(line.split(",")[3]) >= 0
+
+    def test_grid_length_capped(self, capsys):
+        code, out, err = run(
+            capsys, ["scan", "--n", "1", "--m", "1", "--p-grid", "0:1:1/100000000"]
+        )
+        assert code == 3
+        assert out == ""
+        assert "100000001 points" in err
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["scan", "--n", "3", "--m", "4", "--p-grid", "0:1:0.2"]

@@ -2,16 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rigjoint import (
     Mode,
     ModelParams,
     Side,
-    SieveCancellationError,
     SizeCapError,
     cond_nonadjacency_given_edge,
     cond_nonadjacency_given_nonedge,
     eval_joint_pgf,
+    exhaustive_joint,
     eval_marginal_pgf,
     joint_pmf,
     marginal_pmf,
@@ -34,6 +36,15 @@ PMF_22 = (
     (Fraction(7, 16), Fraction(1, 8)),
     (Fraction(1, 8), Fraction(5, 16)),
 )
+
+
+@st.composite
+def small_models(draw):
+    """(n, m, p) with n*m <= 12 and p = i/d for d <= 9, 0 and 1 included."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 12 // n))
+    den = draw(st.integers(1, 9))
+    return n, m, Fraction(draw(st.integers(0, den)), den)
 
 
 def pmf_as_dict(dist):
@@ -138,27 +149,28 @@ class TestMomentTable:
         # Off-diagonal entries are (n-1)(1-p^2)^m = 9/16, confirmed by
         # enumeration; N[1][1] = 7/16 equals P(X=0, Y=0) here.
         table = moment_table(P22)
-        assert table.entries == (
-            (Fraction(1), Fraction(9, 16)),
-            (Fraction(9, 16), Fraction(7, 16)),
-        )
+        assert table.scale == 2**4
+        assert [[table.entry(k, l) for l in range(2)] for k in range(2)] == [
+            [Fraction(1), Fraction(9, 16)],
+            [Fraction(9, 16), Fraction(7, 16)],
+        ]
 
     def test_single_cell_model(self):
         for p in [Fraction(0), THIRD, Fraction(1)]:
-            assert moment_table(ModelParams(1, 1, p)).entries == ((Fraction(1),),)
+            assert moment_table(ModelParams(1, 1, p)).entry(0, 0) == 1
 
     def test_3x3_against_enumerated_falling_moments(self):
         p = Fraction(1, 4)
         table = moment_table(ModelParams(3, 3, p))
         for k in range(3):
             for l in range(3):
-                assert table.entries[k][l] == reference.falling_moment(3, 3, p, k, l)
+                assert table.entry(k, l) == reference.falling_moment(3, 3, p, k, l)
 
     def test_entries_nonnegative_and_anchored(self):
         for n, m, p in [(4, 6, Fraction(3, 7)), (7, 2, Fraction(1, 9))]:
             table = moment_table(ModelParams(n, m, p))
-            assert table.entries[0][0] == 1
-            assert all(v >= 0 for row in table.entries for v in row)
+            assert table.entry(0, 0) == 1
+            assert all(table.entry(k, l) >= 0 for k in range(n) for l in range(m))
 
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
@@ -178,23 +190,11 @@ class TestSieveInvert:
         assert at_one.pmf[n - 1][m - 1] == 1
 
     def test_rejects_inconsistent_table(self):
-        # valid-looking entries that are not falling moments of any model
-        bad = MomentTable(P22, Mode.EXACT, ((Fraction(1), HALF), (HALF, Fraction(3, 5))))
+        # valid-looking entries 1, 1/2, 1/2, 5/8 over den(p)^(n*m) = 16 that
+        # are not falling moments of any model
+        bad = MomentTable(P22, 16, ((16, 8), (8, 10)))
         with pytest.raises(ValueError):
             sieve_invert(bad)
-
-    def test_float_clamp_raises_on_real_cancellation(self):
-        bad = MomentTable(P22, Mode.FLOAT, ((1.0, 0.5), (0.5, 0.6)))
-        with pytest.raises(SieveCancellationError):
-            sieve_invert(bad)
-
-    def test_float_agrees_with_exact(self):
-        params = ModelParams(12, 9, Fraction(2, 5))
-        exact = joint_pmf(params)
-        approx = joint_pmf(params, Mode.FLOAT)
-        for a in range(12):
-            for b in range(9):
-                assert approx.pmf[a][b] == pytest.approx(float(exact.pmf[a][b]), abs=1e-9)
 
 
 class TestJointPmf:
@@ -266,24 +266,23 @@ class TestEvalJointPgf:
                 )
 
     def test_transform_identity_at_nonzero_points(self):
-        # F(x,y) = x^(n-1) y^(m-1) * sum N[k][l] (1/x-1)^k (1/y-1)^l
+        # Exact F is read off the moment table, so it is checked against routes
+        # that bypass the table: the enumerated pmf's polynomial, and the
+        # transform of the moments rebuilt from the edge-split conditionals.
         rnd = random.Random(13)
         for n, m, p in [(3, 3, Fraction(2, 3)), (5, 4, Fraction(1, 5)), (2, 7, HALF)]:
             params = ModelParams(n, m, p)
-            table = moment_table(params)
+            enumerated = exhaustive_joint(params).pmf
+            rebuilt = [
+                [recombination_check(params, k, l)[0] for l in range(m)] for k in range(n)
+            ]
             for _ in range(8):
                 x = Fraction(rnd.choice([-9, -5, -2, -1, 1, 2, 4, 9]), rnd.randint(1, 6))
                 y = Fraction(rnd.choice([-7, -3, -1, 1, 3, 8]), rnd.randint(1, 6))
-                via_table = (
-                    x ** (n - 1)
-                    * y ** (m - 1)
-                    * sum(
-                        table.entries[k][l] * (1 / x - 1) ** k * (1 / y - 1) ** l
-                        for k in range(n)
-                        for l in range(m)
-                    )
-                )
-                assert eval_joint_pgf(params, x, y) == via_table
+                value = eval_joint_pgf(params, x, y)
+                assert value == reference.pgf_from_pmf(joint_pmf(params).pmf, x, y)
+                assert value == reference.pgf_from_pmf(enumerated, x, y)
+                assert value == reference.pgf_from_moments(rebuilt, x, y)
 
     def test_float_mode_tracks_exact(self):
         for n, m, p in [(2, 2, HALF), (9, 14, Fraction(3, 10)), (20, 20, Fraction(1, 7))]:
@@ -353,3 +352,31 @@ class TestRecombination:
             for l in range(m):
                 lhs, rhs = recombination_check(params, k, l)
                 assert lhs == rhs
+
+
+class TestExactPipelineProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(small_models())
+    @example((3, 4, Fraction(0)))
+    @example((4, 3, Fraction(1)))
+    def test_joint_pmf_equals_enumeration(self, model):
+        n, m, p = model
+        expect = reference.law_as_table(reference.joint_law(n, m, p), n, m)
+        assert joint_pmf(ModelParams(n, m, p)).pmf == expect
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_models())
+    def test_swapping_sides_transposes(self, model):
+        n, m, p = model
+        fwd = joint_pmf(ModelParams(n, m, p)).pmf
+        rev = joint_pmf(ModelParams(m, n, p)).pmf
+        assert tuple(zip(*fwd)) == rev
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_models())
+    def test_marginals_are_row_and_column_sums(self, model):
+        n, m, p = model
+        params = ModelParams(n, m, p)
+        pmf = joint_pmf(params).pmf
+        assert marginal_pmf(params, Side.ACTIVE).pmf == tuple(sum(row) for row in pmf)
+        assert marginal_pmf(params, Side.PASSIVE).pmf == tuple(sum(col) for col in zip(*pmf))
