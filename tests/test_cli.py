@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from rigjoint import pgf
 from rigjoint.cli import main
 
 
@@ -242,6 +243,25 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert doc["result"] == "PASS"
         assert [c["status"] for c in doc["checks"]] == ["PASS", "PASS", "PASS"]
+
+    def test_wrong_closed_form_fails_instead_of_usage_error(self, capsys, monkeypatch):
+        original = pgf._closed_form
+
+        def per_vertex_exponent_n_minus_k(n, m, a, c, b, k, l):
+            # _closed_form with the per-vertex exponent n-1-k changed to n-k
+            return original(n, m, a, c, b, k, l) * (c * b**l + a * c**l)
+
+        monkeypatch.setattr(pgf, "_closed_form", per_vertex_exponent_n_minus_k)
+        argv = ["verify", "--n", "4", "--m", "5", "--p", "2/5"]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert "enumeration_vs_formula,FAIL" in out.splitlines()
+        assert "enumeration_vs_formula: entry (0,0) must equal 1, got 5" in err.splitlines()
+        code, out, _ = run(capsys, argv + ["--format", "json"])
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["result"] == "FAIL"
+        assert doc["checks"][0] == {"name": "enumeration_vs_formula", "status": "FAIL"}
 
 
 class TestScanCommand:

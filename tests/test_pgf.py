@@ -285,12 +285,42 @@ class TestEvalJointPgf:
                 assert value == reference.pgf_from_moments(rebuilt, x, y)
 
     def test_float_mode_tracks_exact(self):
-        for n, m, p in [(2, 2, HALF), (9, 14, Fraction(3, 10)), (20, 20, Fraction(1, 7))]:
+        corners = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        points = [(HALF, Fraction(5, 4)), (Fraction(9, 10), Fraction(3, 10))] + corners
+        outside = [(Fraction(3, 2), -HALF), (-HALF, Fraction(7, 4))]
+        grid = [(Fraction(i, 4), Fraction(j, 5)) for i in range(5) for j in range(6)]
+        cases = [
+            (2, 2, HALF, points + outside),
+            (9, 14, Fraction(3, 10), points + outside),
+            (14, 9, Fraction(3, 10), points + outside),
+            (20, 20, Fraction(1, 7), points),
+            (1, 1, THIRD, points + outside),
+            (1, 6, Fraction(2, 5), points + outside),
+            (6, 1, Fraction(2, 5), points + outside),
+            (5, 7, Fraction(0), points + outside),
+            (7, 5, Fraction(1), points + outside),
+            # Binomial(l, p) weights spread out: the accuracy gate on [0,1]^2.
+            (40, 40, HALF, grid),
+            (40, 40, Fraction(3, 7), grid),
+            # Past n = 1030, where C(n-1, k) no longer fits a float.
+            (1100, 3, Fraction(1, 8), corners + grid[7::7]),
+            (3, 1100, Fraction(1, 8), corners + grid[7::7]),
+        ]
+        # Exact F comes from the orientation with n >= m, by the duality
+        # F_{n,m}(x, y) = F_{m,n}(y, x): exact mode takes about a minute at 3x1100.
+        tables = {}
+        for n, m, p, xys in cases:
             params = ModelParams(n, m, p)
-            for x, y in [(HALF, Fraction(5, 4)), (Fraction(0), Fraction(1)), (Fraction(9, 10), Fraction(3, 10))]:
-                exact = float(eval_joint_pgf(params, x, y))
+            tall = (max(n, m), min(n, m), p)
+            if tall not in tables:
+                tables[tall] = moment_table(ModelParams(*tall))
+            for x, y in xys:
+                exact = tables[tall].eval_pgf(x, y) if n >= m else tables[tall].eval_pgf(y, x)
                 approx = eval_joint_pgf(params, float(x), float(y), Mode.FLOAT)
-                assert approx == pytest.approx(exact, rel=1e-9, abs=1e-12)
+                # On [0,1]^2 every term is nonnegative, so the gate is purely
+                # relative; outside it the terms cancel.
+                inside = 0 <= x <= 1 and 0 <= y <= 1
+                assert approx == pytest.approx(float(exact), rel=1e-9, abs=0 if inside else 1e-12)
 
     def test_exact_mode_rejects_floats(self):
         with pytest.raises(TypeError):
