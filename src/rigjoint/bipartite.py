@@ -8,6 +8,13 @@ under any batching or parallel partition of the trial range. An edge is
 present when its 64-bit word falls below a fixed-point threshold computed
 once from p.
 
+Because any word can be computed on its own, ``empirical_joint`` draws only
+the edges the degree pair reads: row 0 and column 0, then the columns of the
+objects adjacent to vertex 0 and the rows of the vertices adjacent to object
+0. Those are the same words the full adjacency would hold at those cells, so
+the tallies equal those of whole sampled graphs. ``_adjacency_batch`` draws
+every edge; ``stats.edge_count_correlation`` needs the whole graph.
+
 ``exhaustive_joint`` is the ground-truth oracle: it walks all 2^(n*m)
 adjacency tables, weighting each by p^edges (1-p)^(non-edges) in exact
 rationals. It exists to validate the closed-form route and is capped at
@@ -18,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -62,56 +68,25 @@ def _edge_threshold(p: Fraction) -> int:
     return (p.numerator << 64) // p.denominator
 
 
+def _trial_seeds(seed: int, start: int, count: int) -> np.ndarray:
+    """Seeds of trials [start, start+count), as ``derive_trial_seed`` gives them."""
+    idx = np.arange(start, start + count, dtype=np.uint64)
+    return _mix64_np(np.uint64(seed & _MASK) + (idx + np.uint64(1)) * np.uint64(_GAMMA))
+
+
+def _edges_present(counters: np.ndarray, threshold: int) -> np.ndarray:
+    """Edge indicators for an array of counters trial_seed + (edge_index + 1)*gamma."""
+    if threshold > _MASK:
+        return np.ones(counters.shape, dtype=bool)
+    return _mix64_np(counters) < np.uint64(threshold)
+
+
 def _adjacency_batch(params: ModelParams, seed: int, start: int, count: int) -> np.ndarray:
     """Adjacency of trials [start, start+count) as a bool array (count, n, m)."""
     n, m = params.n, params.m
-    gamma = np.uint64(_GAMMA)
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    trial_seeds = _mix64_np(np.uint64(seed & _MASK) + (idx + np.uint64(1)) * gamma)
-    offsets = np.arange(1, n * m + 1, dtype=np.uint64) * gamma
-    words = _mix64_np(trial_seeds[:, None] + offsets[None, :])
-    threshold = _edge_threshold(params.p)
-    if threshold > _MASK:
-        adj = np.ones((count, n * m), dtype=bool)
-    else:
-        adj = words < np.uint64(threshold)
-    return adj.reshape(count, n, m)
-
-
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """One realization; ``rows[i]`` is an m-bit mask of vertex i's objects."""
-
-    n: int
-    m: int
-    rows: tuple
-
-    def __post_init__(self):
-        if len(self.rows) != self.n:
-            raise ValueError("row count does not match n")
-        if any(not 0 <= r < (1 << self.m) for r in self.rows):
-            raise ValueError("row mask exceeds m bits")
-
-    def edge(self, vertex: int, obj: int) -> bool:
-        return bool((self.rows[vertex] >> obj) & 1)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows)
-
-    def columns(self) -> tuple:
-        """n-bit masks per object; the transpose view of ``rows``."""
-        return tuple(
-            sum(((self.rows[i] >> j) & 1) << i for i in range(self.n)) for j in range(self.m)
-        )
-
-    def transpose(self) -> "BipartiteGraph":
-        return BipartiteGraph(self.m, self.n, self.columns())
-
-
-class DegreePair(NamedTuple):
-    x: int
-    y: int
+    offsets = np.arange(1, n * m + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    counters = _trial_seeds(seed, start, count)[:, None] + offsets[None, :]
+    return _edges_present(counters, _edge_threshold(params.p)).reshape(count, n, m)
 
 
 @dataclass(frozen=True)
@@ -129,43 +104,36 @@ class EmpiricalJointDistribution:
             raise ValueError("counts must sum to trials")
 
 
-def sample_bipartite(params: ModelParams, trial_seed: int) -> BipartiteGraph:
-    """Sample one graph; fully determined by ``trial_seed``."""
+def _degree_batch(params: ModelParams, seed: int, start: int, count: int) -> tuple:
+    """Degrees (X, Y) of vertex 0 and object 0 for trials [start, start+count).
+
+    Vertex i >= 1 is an active neighbour of v0 iff row i has an edge in some
+    column of N(v0); object j >= 1 is a passive neighbour of o0 iff column j
+    has an edge in some row of N(o0).
+    """
     n, m = params.n, params.m
     threshold = _edge_threshold(params.p)
-    base = trial_seed & _MASK
-    rows = []
-    for i in range(n):
-        bits = 0
-        for j in range(m):
-            word = _mix64(base + (i * m + j + 1) * _GAMMA)
-            if word < threshold:
-                bits |= 1 << j
-        rows.append(bits)
-    return BipartiteGraph(n, m, tuple(rows))
+    seeds = _trial_seeds(seed, start, count)
+    # edge (i, j) has counter trial_seed + (i*m + j + 1)*gamma = trial_seed + row[i] + col[j]
+    gamma = np.uint64(_GAMMA)
+    row = np.arange(n, dtype=np.uint64) * np.uint64(m) * gamma
+    col = np.arange(1, m + 1, dtype=np.uint64) * gamma
 
+    def degree(line, across):
+        # line[k, t] is the counter of cell k of trial t's tracked row or
+        # column; across[r] steps from any cell to the cell r+1 places along
+        # the line crossing it. Position r+1 is a neighbour in trial t iff
+        # some tracked cell and its crossing cell r+1 are both edges.
+        tracked = np.flatnonzero(_edges_present(line, threshold))
+        crossing = _edges_present(across[:, None] + line.ravel()[tracked][None, :], threshold)
+        pos, hit = np.divmod(np.flatnonzero(crossing), len(tracked))
+        marks = np.zeros((len(across), count), dtype=bool)
+        marks.ravel()[pos * count + tracked[hit] % count] = True
+        return np.count_nonzero(marks, axis=0)
 
-def active_degree(graph: BipartiteGraph, vertex: int) -> int:
-    """Number of other vertices sharing at least one object with ``vertex``."""
-    if not 0 <= vertex < graph.n:
-        raise IndexError(f"vertex {vertex} out of range for n={graph.n}")
-    mine = graph.rows[vertex]
-    return sum(1 for i in range(graph.n) if i != vertex and graph.rows[i] & mine)
-
-
-def passive_degree(graph: BipartiteGraph, obj: int) -> int:
-    """Number of other objects sharing at least one vertex with ``obj``."""
-    if not 0 <= obj < graph.m:
-        raise IndexError(f"object {obj} out of range for m={graph.m}")
-    cols = graph.columns()
-    mine = cols[obj]
-    return sum(1 for j in range(graph.m) if j != obj and cols[j] & mine)
-
-
-def sample_degree_pair(params: ModelParams, trial_seed: int) -> DegreePair:
-    """Degree pair of the tracked vertex 0 and object 0 in one sampled graph."""
-    graph = sample_bipartite(params, trial_seed)
-    return DegreePair(active_degree(graph, 0), passive_degree(graph, 0))
+    x = degree(col[:, None] + seeds[None, :], row[1:])
+    y = degree((row + col[0])[:, None] + seeds[None, :], col[1:] - col[0])
+    return x, y
 
 
 def empirical_joint(
@@ -173,8 +141,13 @@ def empirical_joint(
 ) -> EmpiricalJointDistribution:
     """Tally the degree pair over ``trials`` seeded Monte Carlo realizations.
 
-    Trial i uses ``derive_trial_seed(seed, i)``; the result is identical for
-    any ``batch_size`` and matches a plain loop over ``sample_degree_pair``.
+    Trial i uses ``derive_trial_seed(seed, i)``, and edge (a, b) of a trial is
+    word a*m + b of its stream. A trial draws only the words its degree pair
+    reads: row 0, column 0, the columns of the objects in N(v0) and the rows
+    of the vertices in N(o0), about n + m + 2p*n*m words instead of n*m.
+    Each word drawn is the one the full adjacency would hold, so the tallies
+    equal those of whole sampled graphs and are the same for any
+    ``batch_size``.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -183,10 +156,7 @@ def empirical_joint(
     n, m = params.n, params.m
     counts = np.zeros(n * m, dtype=np.int64)
     for start in range(0, trials, batch_size):
-        size = min(batch_size, trials - start)
-        adj = _adjacency_batch(params, seed, start, size)
-        x = (adj[:, 1:, :] & adj[:, :1, :]).any(axis=2).sum(axis=1)
-        y = (adj[:, :, 1:] & adj[:, :, :1]).any(axis=1).sum(axis=1)
+        x, y = _degree_batch(params, seed, start, min(batch_size, trials - start))
         counts += np.bincount(x * m + y, minlength=n * m)
     table = tuple(tuple(int(c) for c in counts[i * m : (i + 1) * m]) for i in range(n))
     return EmpiricalJointDistribution(table, trials, seed)

@@ -36,6 +36,9 @@ DEFAULT_EXACT_CAP = 40
 # Longest --p-grid that scan accepts.
 MAX_GRID_POINTS = 10_000
 
+# Most n*m cells that simulate tallies and prints.
+MAX_SIMULATE_CELLS = 1_000_000
+
 # Fixed rational probes at which verify compares the joint PGF with the
 # enumerated pmf's polynomial.
 _VERIFY_POINTS = [
@@ -187,6 +190,10 @@ def cmd_moments(args) -> int:
 
 def cmd_simulate(args) -> int:
     params = _build_params(args)
+    if params.n * params.m > MAX_SIMULATE_CELLS:
+        raise SizeCapError(
+            f"simulate tallies n*m = {params.n * params.m} cells; capped at {MAX_SIMULATE_CELLS}"
+        )
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     emp = empirical_joint(params, args.trials, args.seed)

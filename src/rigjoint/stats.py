@@ -155,6 +155,16 @@ def chi_square(
     return statistic, len(kept) - 1
 
 
+def _linked_pairs(gram: np.ndarray) -> np.ndarray:
+    """Per batch entry, the pairs i < i' with gram[i, i'] > 0.
+
+    The Gram matrix is symmetric, so the positive entries off its diagonal
+    count each linked pair twice.
+    """
+    diagonal = np.diagonal(gram, axis1=1, axis2=2)
+    return (np.count_nonzero(gram, axis=(1, 2)) - np.count_nonzero(diagonal, axis=1)) // 2
+
+
 def edge_count_correlation(
     params: ModelParams, trials: int, seed: int, batch_size: int = 4096
 ) -> Optional[float]:
@@ -162,26 +172,22 @@ def edge_count_correlation(
 
     Monte Carlo check of the folklore that the two projections' sizes move
     together; no closed form is known. Returns None when either total is
-    constant across the sample (e.g. p = 0 or p = 1).
+    constant across the sample (e.g. p = 0 or p = 1). Per trial, two vertices
+    are linked iff their entry of A A^T is positive and two objects iff theirs
+    of A^T A is; the entries count shared neighbours exactly in float32.
     """
     if trials < 2:
         raise ValueError("correlation needs at least 2 trials")
-    n, m = params.n, params.m
+    if batch_size < 1:
+        raise ValueError("batch_size must be positive")
     active = np.empty(trials, dtype=np.float64)
     passive = np.empty(trials, dtype=np.float64)
     for start in range(0, trials, batch_size):
         size = min(batch_size, trials - start)
-        adj = _adjacency_batch(params, seed, start, size)
-        act = np.zeros(size, dtype=np.int64)
-        for i in range(n):
-            for i2 in range(i + 1, n):
-                act += (adj[:, i, :] & adj[:, i2, :]).any(axis=1)
-        pas = np.zeros(size, dtype=np.int64)
-        for j in range(m):
-            for j2 in range(j + 1, m):
-                pas += (adj[:, :, j] & adj[:, :, j2]).any(axis=1)
-        active[start : start + size] = act
-        passive[start : start + size] = pas
+        adj = _adjacency_batch(params, seed, start, size).astype(np.float32)
+        adj_t = adj.transpose(0, 2, 1)
+        active[start : start + size] = _linked_pairs(adj @ adj_t)
+        passive[start : start + size] = _linked_pairs(adj_t @ adj)
     if active.std() == 0.0 or passive.std() == 0.0:
         return None
     return float(np.corrcoef(active, passive)[0, 1])

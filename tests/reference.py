@@ -1,10 +1,10 @@
 """Independent brute-force reference implementations.
 
 Everything here enumerates all 2^(n*m) bipartite graphs in plain Python with
-exact Fraction weights, except the two ``pgf_from_*`` helpers at the end,
-which evaluate a given table term by term. No closed forms, no sieve, no
-numpy: these are the oracles the library is checked against, so they must
-stay dumb.
+exact Fraction weights, except the two ``pgf_from_*`` helpers, which evaluate
+a given table term by term, and the scalar sampler at the end, which draws
+one graph edge by edge. No closed forms, no sieve, no numpy: these are the
+oracles the library is checked against, so they must stay dumb.
 """
 
 import math
@@ -100,3 +100,40 @@ def pgf_from_moments(table, x, y):
         x ** (n - 1 - k) * (1 - x) ** k * sum(e * v for e, v in zip(row, vs))
         for k, row in enumerate(table)
     )
+
+
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def mix64(z):
+    """Split-mix finalizer on 64-bit integers."""
+    z &= _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def sample_rows(n, m, p, trial_seed):
+    """One sampled graph as n row bitmasks over m objects.
+
+    Edge (i, j) is present iff word i*m + j of the trial's split-mix stream
+    lies below floor(p * 2^64).
+    """
+    threshold = (p.numerator << 64) // p.denominator
+    return tuple(
+        sum(
+            1 << j
+            for j in range(m)
+            if mix64(trial_seed + (i * m + j + 1) * _GAMMA) < threshold
+        )
+        for i in range(n)
+    )
+
+
+def projection_edge_counts(rows, n, m):
+    """Edge counts (active, passive) of the two projections, pair by pair."""
+    cols = columns(rows, n, m)
+    active = sum(1 for i in range(n) for i2 in range(i + 1, n) if rows[i] & rows[i2])
+    passive = sum(1 for j in range(m) for j2 in range(j + 1, m) if cols[j] & cols[j2])
+    return active, passive

@@ -220,11 +220,17 @@ def test_criterion_11_performance():
     summary = moments(big, Mode.FLOAT)
     float_elapsed = time.perf_counter() - start
     ok = ok and value >= 0 and summary.mean_x > 0 and float_elapsed < 1
+
+    start = time.perf_counter()
+    emp = empirical_joint(ModelParams(50, 50, Fraction(1, 20)), 40_000, seed=11)
+    sample_elapsed = time.perf_counter() - start
+    ok = ok and emp.trials == 40_000 and sample_elapsed < 1
     _report(
         11,
         "performance envelopes",
         ok,
-        f"exact 40x40 pmf {exact_elapsed:.2f}s < 60s; float 500x500 {float_elapsed:.2f}s < 1s",
+        f"exact 40x40 pmf {exact_elapsed:.2f}s < 60s; float 500x500 {float_elapsed:.2f}s < 1s; "
+        f"Monte Carlo 50x50 40000 trials {sample_elapsed:.2f}s < 1s",
     )
 
 

@@ -6,17 +6,12 @@ import pytest
 import scipy.stats
 
 from rigjoint import (
-    BipartiteGraph,
     ModelParams,
     SizeCapError,
-    active_degree,
     derive_trial_seed,
     empirical_joint,
     exhaustive_joint,
     joint_pmf,
-    passive_degree,
-    sample_bipartite,
-    sample_degree_pair,
     tv_distance,
 )
 from rigjoint.bipartite import _adjacency_batch
@@ -27,68 +22,43 @@ HALF = Fraction(1, 2)
 P22 = ModelParams(2, 2, HALF)
 
 
-class TestBipartiteGraph:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BipartiteGraph(2, 2, (0,))
-        with pytest.raises(ValueError):
-            BipartiteGraph(2, 2, (4, 0))
-
-    def test_transpose_roundtrip(self):
-        g = BipartiteGraph(3, 2, (0b01, 0b11, 0b10))
-        t = g.transpose()
-        assert (t.n, t.m) == (2, 3)
-        assert t.transpose() == g
-        assert g.edge_count == t.edge_count == 4
-
-
 class TestDegrees:
     def test_empty_graph(self):
-        g = BipartiteGraph(4, 3, (0, 0, 0, 0))
-        assert active_degree(g, 0) == 0
-        assert passive_degree(g, 2) == 0
+        rows = (0, 0, 0, 0)
+        assert reference.active_deg(rows, 0) == 0
+        assert reference.passive_deg(rows, 4, 3, 2) == 0
 
     def test_full_graph(self):
-        g = BipartiteGraph(4, 5, tuple([0b11111] * 4))
-        assert active_degree(g, 2) == 3
-        assert passive_degree(g, 0) == 4
+        rows = (0b11111,) * 4
+        assert reference.active_deg(rows, 2) == 3
+        assert reference.passive_deg(rows, 4, 5, 0) == 4
 
     def test_small_examples(self):
         # rows {w1}, {w1}, {w2}: vertex 0 shares w1 with vertex 1 only
-        g = BipartiteGraph(3, 2, (0b01, 0b01, 0b10))
-        assert active_degree(g, 0) == 1
+        assert reference.active_deg((0b01, 0b01, 0b10), 0) == 1
         # columns {v1}, {v1,v2}, {v3}: object 0 shares v1 with object 1 only
-        g2 = BipartiteGraph(3, 3, (0b011, 0b010, 0b100))
-        assert passive_degree(g2, 0) == 1
-
-    def test_index_bounds(self):
-        g = BipartiteGraph(2, 2, (0, 0))
-        with pytest.raises(IndexError):
-            active_degree(g, 2)
-        with pytest.raises(IndexError):
-            passive_degree(g, -1)
+        assert reference.passive_deg((0b011, 0b010, 0b100), 3, 3, 0) == 1
 
     def test_projection_symmetry(self):
+        n, m = 4, 3
         for seed in range(30):
-            g = sample_bipartite(ModelParams(4, 3, Fraction(2, 5)), seed)
-            t = g.transpose()
-            for i in range(g.n):
-                assert active_degree(g, i) == passive_degree(t, i)
-            for j in range(g.m):
-                assert passive_degree(g, j) == active_degree(t, j)
+            rows = reference.sample_rows(n, m, Fraction(2, 5), seed)
+            cols = reference.columns(rows, n, m)
+            for i in range(n):
+                assert reference.active_deg(rows, i) == reference.passive_deg(cols, m, n, i)
+            for j in range(m):
+                assert reference.passive_deg(rows, n, m, j) == reference.active_deg(cols, j)
 
 
 class TestSampler:
     def test_degenerate_probabilities(self):
-        empty = sample_bipartite(ModelParams(3, 4, Fraction(0)), 99)
-        assert empty.rows == (0, 0, 0)
-        full = sample_bipartite(ModelParams(3, 4, Fraction(1)), 99)
-        assert full.rows == (0b1111,) * 3
+        assert reference.sample_rows(3, 4, Fraction(0), 99) == (0, 0, 0)
+        assert reference.sample_rows(3, 4, Fraction(1), 99) == (0b1111,) * 3
 
     def test_deterministic_in_trial_seed(self):
-        params = ModelParams(5, 5, Fraction(1, 3))
-        assert sample_bipartite(params, 1234) == sample_bipartite(params, 1234)
-        assert sample_bipartite(params, 1234) != sample_bipartite(params, 1235)
+        third = Fraction(1, 3)
+        assert reference.sample_rows(5, 5, third, 1234) == reference.sample_rows(5, 5, third, 1234)
+        assert reference.sample_rows(5, 5, third, 1234) != reference.sample_rows(5, 5, third, 1235)
 
     def test_mean_edge_count(self):
         params = ModelParams(10, 10, Fraction(1, 5))
@@ -103,8 +73,10 @@ class TestSampler:
         assert abs(mean - 20.0) < 3 * se
 
     def test_degree_pair_degenerate(self):
-        assert sample_degree_pair(ModelParams(4, 6, Fraction(0)), 5) == (0, 0)
-        assert sample_degree_pair(ModelParams(3, 4, Fraction(1)), 5) == (2, 3)
+        empty = reference.sample_rows(4, 6, Fraction(0), 5)
+        assert (reference.active_deg(empty, 0), reference.passive_deg(empty, 4, 6, 0)) == (0, 0)
+        full = reference.sample_rows(3, 4, Fraction(1), 5)
+        assert (reference.active_deg(full, 0), reference.passive_deg(full, 3, 4, 0)) == (2, 3)
 
     def test_bipartite_degree_is_binomial(self):
         # chi-square fit of deg(vertex 0) in the bipartite graph against
@@ -147,13 +119,29 @@ class TestEmpiricalJoint:
         assert full.counts == tiny.counts == odd.counts
 
     def test_matches_scalar_sampling_path(self):
-        params = ModelParams(3, 3, Fraction(2, 5))
-        emp = empirical_joint(params, trials=400, seed=11)
-        counts = [[0] * 3 for _ in range(3)]
-        for t in range(400):
-            pair = sample_degree_pair(params, derive_trial_seed(11, t))
-            counts[pair.x][pair.y] += 1
-        assert emp.counts == tuple(tuple(row) for row in counts)
+        # the lean sampler draws only the words the degree pair reads; its
+        # tallies must equal those of whole graphs, drawn edge by edge by the
+        # reference sampler and in one batch by _adjacency_batch
+        trials, seed = 400, 11
+        shapes = [(1, 1), (1, 6), (6, 1), (7, 3), (3, 7), (12, 9), (3, 3)]
+        probabilities = [Fraction(0), Fraction(1), HALF, Fraction(2, 5)]
+        for n, m in shapes:
+            for p in probabilities:
+                params = ModelParams(n, m, p)
+                scalar = [[0] * m for _ in range(n)]
+                for t in range(trials):
+                    rows = reference.sample_rows(n, m, p, derive_trial_seed(seed, t))
+                    a, b = reference.active_deg(rows, 0), reference.passive_deg(rows, n, m, 0)
+                    scalar[a][b] += 1
+                adj = _adjacency_batch(params, seed, 0, trials)
+                x = (adj[:, 1:, :] & adj[:, :1, :]).any(axis=2).sum(axis=1)
+                y = (adj[:, :, 1:] & adj[:, :, :1]).any(axis=1).sum(axis=1)
+                dense = np.bincount(x * m + y, minlength=n * m).reshape(n, m)
+                expect = tuple(tuple(row) for row in scalar)
+                assert tuple(tuple(int(c) for c in row) for row in dense) == expect
+                for batch_size in (1, 17, 4096):
+                    emp = empirical_joint(params, trials, seed, batch_size=batch_size)
+                    assert emp.counts == expect, (n, m, p, batch_size)
 
     def test_cell_frequency_concentrates(self):
         emp = empirical_joint(P22, trials=100_000, seed=42)

@@ -213,6 +213,16 @@ class TestSimulateCommand:
         assert sum(sum(row) for row in doc["result"]["counts"]) == 777
         assert doc["result"]["seed"] == 1
 
+    def test_table_size_capped(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["simulate", "--n", "100000", "--m", "100000", "--p", "1/2", "--trials", "1",
+             "--seed", "1"],
+        )
+        assert code == 3
+        assert out == ""
+        assert "capped at 1000000" in err
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("n,m,p", [(2, 2, "1/2"), (3, 3, "2/3"), (2, 4, "0.3")])

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import scipy.stats
 
@@ -9,6 +10,7 @@ from rigjoint import (
     ModelParams,
     chi_square,
     default_independence_grid,
+    derive_trial_seed,
     edge_count_correlation,
     empirical_joint,
     independence_gap,
@@ -188,6 +190,35 @@ class TestEdgeCountCorrelation:
     def test_needs_two_trials(self):
         with pytest.raises(ValueError):
             edge_count_correlation(P22, 1, seed=0)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_rejects_nonpositive_batch_size(self, batch_size):
+        params = ModelParams(4, 4, HALF)
+        with pytest.raises(ValueError, match="batch_size must be positive"):
+            edge_count_correlation(params, 100, seed=3, batch_size=batch_size)
+
+    @pytest.mark.parametrize(
+        "n,m,p",
+        [(20, 20, Fraction(1, 10)), (7, 3, HALF), (3, 7, Fraction(2, 5)), (1, 4, HALF),
+         (4, 4, Fraction(1))],
+    )
+    def test_matches_pair_loop_reference(self, n, m, p):
+        trials, seed = 200, 17
+        totals = [
+            reference.projection_edge_counts(
+                reference.sample_rows(n, m, p, derive_trial_seed(seed, t)), n, m
+            )
+            for t in range(trials)
+        ]
+        active = np.array([a for a, _ in totals], dtype=np.float64)
+        passive = np.array([b for _, b in totals], dtype=np.float64)
+        if active.std() == 0.0 or passive.std() == 0.0:
+            expect = None
+        else:
+            expect = float(np.corrcoef(active, passive)[0, 1])
+        got = edge_count_correlation(ModelParams(n, m, p), trials, seed, batch_size=33)
+        assert got == expect
+        assert (expect is None) == (n == 1 or p == 1)
 
 
 class TestCovarianceSweepSmall:
