@@ -15,23 +15,29 @@ objects adjacent to vertex 0 and the rows of the vertices adjacent to object
 the tallies equal those of whole sampled graphs. ``_adjacency_batch`` draws
 every edge; ``stats.edge_count_correlation`` needs the whole graph.
 
-``exhaustive_joint`` is the ground-truth oracle: it walks all 2^(n*m)
-adjacency tables, weighting each by p^edges (1-p)^(non-edges) in exact
-rationals. It exists to validate the closed-form route and is capped at
-n*m <= 22.
+``exhaustive_joint`` is the ground-truth oracle: it counts every one of the
+2^(n*m) adjacency tables exactly, row by row (a transfer-matrix count), by
+degree pair and edge count, and weights each count by p^edges
+(1-p)^(non-edges) in exact rationals. Two guards make a miscount raise
+instead of passing quietly: the counts total 2^(n*m), and those with e edges
+total C(n*m, e). It uses no closed form and exists to validate the
+closed-form route; it is capped at n*m <= 22.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
 from .exact import SizeCapError
 from .pgf import JointDegreeDistribution, ModelParams
 
-# Walking all 2^(n*m) graphs stays under a few seconds up to this bound.
+# Largest n*m that `verify` checks against enumeration. It bounds what
+# `verify` promises and the cost of the edge-split conditionals it also
+# runs; the row-by-row count itself stays well under a second here.
 ENUMERATION_CAP = 22
 
 _MASK = (1 << 64) - 1
@@ -162,15 +168,65 @@ def empirical_joint(
     return EmpiricalJointDistribution(table, trials, seed)
 
 
+def _add_line(state: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Counts after one more line: each line value r moves state i to targets[r, i]."""
+    moved = np.zeros_like(state)
+    np.add.at(moved, targets.ravel(), np.tile(state, len(targets)))
+    return moved
+
+
+def _line_counts(lines: int, width: int, bit: int) -> np.ndarray:
+    """counts[x, y, e] over all tables of ``lines`` lines of ``width`` bits.
+
+    The tracked line is line 0 and the tracked bit is ``bit``. x counts the
+    other lines that share a set bit with the tracked line, y the bits other
+    than ``bit`` set in some line that has ``bit`` set, and e the set bits.
+    """
+    size, cells = 1 << width, lines * width
+    shape = (size, lines, size, cells + 1)  # tracked line, x, covered, e
+    line, tracked, x, covered, e = np.ix_(np.arange(size), *map(np.arange, shape))
+    # targets[r] is the flat index each state moves to when the next line has
+    # bits r. States past the last x or e hold no count; clamping keeps their
+    # targets in range.
+    moved_x = np.minimum(x + ((tracked & line) != 0), lines - 1)
+    moved_covered = np.where(line >> bit & 1, covered | line, covered)
+    moved_e = np.minimum(e + np.bitwise_count(line), cells)
+    targets = ((tracked * lines + moved_x) * size + moved_covered) * (cells + 1) + moved_e
+    targets = targets.reshape(size, -1)
+
+    values = np.arange(size)
+    state = np.zeros(shape, dtype=np.int64)
+    state[values, 0, np.where(values >> bit & 1, values, 0), np.bitwise_count(values)] = 1
+    state = state.ravel()
+    for _ in range(lines - 1):
+        state = _add_line(state, targets)
+
+    by_covered = state.reshape(shape).sum(axis=0)
+    counts = np.zeros((lines, width, cells + 1), dtype=np.int64)
+    np.add.at(counts, (slice(None), np.bitwise_count(values & ~(1 << bit))), by_covered)
+    return counts
+
+
 def exhaustive_joint(
     params: ModelParams, vertex: int = 0, obj: int = 0
 ) -> JointDegreeDistribution:
-    """Exact joint law by enumerating every bipartite graph.
+    """Exact joint law by counting every bipartite graph, row by row.
 
-    Tallies how many graphs with each edge count produce each degree pair,
-    then folds in the exact rational weight p^e (1-p)^(nm-e) per edge count.
-    The tracked pair defaults to (vertex 0, object 0); exchangeability makes
-    the choice immaterial, and the optional arguments exist to test that.
+    A transfer-matrix count (Stanley, Enumerative Combinatorics I, 4.7): the
+    tracked line takes each of its values, then the other lines are added one
+    at a time over the state (x so far, objects covered through the tracked
+    object, edges so far). That gives the number of adjacency tables with
+    each degree pair and edge count. Two guards raise ValueError on a
+    miscount: the counts must total 2^(n*m), and those with e edges C(n*m, e).
+    The weight p^e (1-p)^(nm-e) is folded in integers over den(p)^(n*m).
+
+    Lines are rows. Transposing a table keeps its edge count and swaps
+    vertices with objects and X with Y, so when m > n the lines are columns
+    and the result is transposed: a line is then at most 4 bits wide under
+    ENUMERATION_CAP. The tracked pair defaults to (vertex 0, object 0). Every
+    line takes every value, so which line is tracked leaves the count
+    unchanged; the tracked bit is used as given. Exchangeability makes the
+    choice immaterial, and the optional arguments exist to test that.
     """
     n, m = params.n, params.m
     nm = n * m
@@ -181,31 +237,24 @@ def exhaustive_joint(
     if not 0 <= obj < m:
         raise IndexError(f"object {obj} out of range for m={m}")
 
-    row_mask = np.uint64((1 << m) - 1)
-    obj_clear = np.uint64(((1 << m) - 1) ^ (1 << obj))
-    counts = np.zeros(n * m * (nm + 1), dtype=np.int64)
-    batch = 1 << 20
-    for lo in range(0, 1 << nm, batch):
-        hi = min(lo + batch, 1 << nm)
-        codes = np.arange(lo, hi, dtype=np.uint64)
-        tracked_row = (codes >> np.uint64(vertex * m)) & row_mask
-        x = np.zeros(len(codes), dtype=np.int64)
-        covered = np.zeros(len(codes), dtype=np.uint64)
-        for i in range(n):
-            row_i = (codes >> np.uint64(i * m)) & row_mask
-            if i != vertex:
-                x += (row_i & tracked_row) != 0
-            attached = (row_i >> np.uint64(obj)) & np.uint64(1)
-            covered |= row_i * attached
-        y = np.bitwise_count(covered & obj_clear).astype(np.int64)
-        edges = np.bitwise_count(codes).astype(np.int64)
-        counts += np.bincount((x * m + y) * (nm + 1) + edges, minlength=len(counts))
+    if m > n:
+        counts = _line_counts(m, n, vertex).transpose(1, 0, 2)
+    else:
+        counts = _line_counts(n, m, obj)
+    total = int(counts.sum())
+    if total != 1 << nm:
+        raise ValueError(f"enumeration counted {total} tables, not 2^{nm}")
+    for e, tables in enumerate(counts.sum(axis=(0, 1)).tolist()):
+        if tables != comb(nm, e):
+            raise ValueError(
+                f"enumeration counted {tables} tables with {e} edges, not C({nm},{e})"
+            )
 
-    p, q = params.p, 1 - params.p
-    weights = [p**e * q ** (nm - e) for e in range(nm + 1)]
-    grid = counts.reshape(n, m, nm + 1)
+    a, b = params.p.numerator, params.p.denominator
+    weights = [a**e * (b - a) ** (nm - e) for e in range(nm + 1)]
+    scale = b**nm
     pmf = tuple(
-        tuple(sum(int(grid[a, b, e]) * weights[e] for e in range(nm + 1)) for b in range(m))
-        for a in range(n)
+        tuple(Fraction(sum(c * w for c, w in zip(cell, weights)), scale) for cell in row)
+        for row in counts.tolist()
     )
     return JointDegreeDistribution(params, pmf)

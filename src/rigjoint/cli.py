@@ -241,52 +241,67 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _formula_check(name: str, compare) -> tuple:
+def _formula_check(name: str, mismatches) -> tuple:
     """(name, passed) for one comparison of the closed forms with enumeration.
 
-    A wrong closed form can yield a table that no model has, which makes the
-    pipeline raise ValueError; that is a failed check, not a usage error.
+    ``mismatches`` yields a description of each disagreement; the first one,
+    if any, goes to stderr. A wrong closed form can yield a table that no
+    model has, which makes the pipeline raise ValueError; that is a failed
+    check, not a usage error.
     """
     try:
-        return name, compare()
+        first = next(mismatches(), None)
     except ValueError as exc:
         print(f"{name}: {exc}", file=sys.stderr)
         return name, False
+    if first is not None:
+        print(f"{name}: first mismatch at {first}", file=sys.stderr)
+    return name, first is None
 
 
 def cmd_verify(args) -> int:
     _require_exact(args, "verify")
     params = _build_params(args)
-    if params.n * params.m > ENUMERATION_CAP:
+    n, m = params.n, params.m
+    if n * m > ENUMERATION_CAP:
         raise SizeCapError(
             f"verify enumerates all graphs and needs n*m <= {ENUMERATION_CAP}"
         )
 
     oracle = exhaustive_joint(params)
 
-    def recombination_holds():
-        return all(
-            lhs == rhs
-            for lhs, rhs in (
-                recombination_check(params, k, l) for k in range(params.n) for l in range(params.m)
-            )
-        )
+    def formula_mismatches():
+        formula = joint_pmf(params).pmf
+        for a in range(n):
+            for b in range(m):
+                if formula[a][b] != oracle.pmf[a][b]:
+                    yield (
+                        f"(a,b) = ({a},{b}): formula {formula[a][b]}, "
+                        f"enumeration {oracle.pmf[a][b]}"
+                    )
 
-    def transform_identity_holds():
-        return all(
-            eval_joint_pgf(params, x, y)
-            == sum(
+    def recombination_mismatches():
+        for k in range(n):
+            for l in range(m):
+                lhs, rhs = recombination_check(params, k, l)
+                if lhs != rhs:
+                    yield f"(k,l) = ({k},{l}): edge split {lhs}, closed form {rhs}"
+
+    def transform_mismatches():
+        for x, y in _VERIFY_POINTS:
+            pgf = eval_joint_pgf(params, x, y)
+            polynomial = sum(
                 prob * x**a * y**b
                 for a, row in enumerate(oracle.pmf)
                 for b, prob in enumerate(row)
             )
-            for x, y in _VERIFY_POINTS
-        )
+            if pgf != polynomial:
+                yield f"(x,y) = ({x},{y}): PGF {pgf}, enumerated polynomial {polynomial}"
 
     checks = [
-        _formula_check("enumeration_vs_formula", lambda: joint_pmf(params).pmf == oracle.pmf),
-        _formula_check("edge_split_recombination", recombination_holds),
-        _formula_check("pgf_transform_identity", transform_identity_holds),
+        _formula_check("enumeration_vs_formula", formula_mismatches),
+        _formula_check("edge_split_recombination", recombination_mismatches),
+        _formula_check("pgf_transform_identity", transform_mismatches),
     ]
 
     all_ok = all(ok for _, ok in checks)

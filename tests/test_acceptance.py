@@ -225,12 +225,19 @@ def test_criterion_11_performance():
     emp = empirical_joint(ModelParams(50, 50, Fraction(1, 20)), 40_000, seed=11)
     sample_elapsed = time.perf_counter() - start
     ok = ok and emp.trials == 40_000 and sample_elapsed < 1
+
+    start = time.perf_counter()
+    for n, m, p in [(11, 2, Fraction(1, 3)), (2, 11, Fraction(1, 3)), (1, 22, Fraction(1, 2))]:
+        exhaustive_joint(ModelParams(n, m, p))  # its law is checked to sum to 1
+    enumeration_elapsed = time.perf_counter() - start
+    ok = ok and enumeration_elapsed < 0.25
     _report(
         11,
         "performance envelopes",
         ok,
         f"exact 40x40 pmf {exact_elapsed:.2f}s < 60s; float 500x500 {float_elapsed:.2f}s < 1s; "
-        f"Monte Carlo 50x50 40000 trials {sample_elapsed:.2f}s < 1s",
+        f"Monte Carlo 50x50 40000 trials {sample_elapsed:.2f}s < 1s; "
+        f"enumeration 11x2, 2x11, 1x22 {enumeration_elapsed:.3f}s < 0.25s",
     )
 
 

@@ -14,6 +14,7 @@ from rigjoint import (
     joint_pmf,
     tv_distance,
 )
+from rigjoint import bipartite
 from rigjoint.bipartite import _adjacency_batch
 
 from tests import reference
@@ -169,14 +170,20 @@ class TestExhaustiveJoint:
     def test_single_cell(self):
         assert exhaustive_joint(ModelParams(1, 1, Fraction(3, 7))).pmf == ((Fraction(1),),)
 
-    @pytest.mark.parametrize("n,m", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (1, 4)])
-    @pytest.mark.parametrize("p", [Fraction(1, 3), HALF])
+    @pytest.mark.parametrize(
+        "n,m",
+        [
+            (1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (1, 4),
+            (1, 5), (5, 1), (2, 5), (5, 2), (3, 4), (4, 3),
+        ],
+    )
+    @pytest.mark.parametrize("p", [Fraction(1, 3), HALF, Fraction(0), Fraction(1)])
     def test_matches_pure_python_enumeration(self, n, m, p):
         got = exhaustive_joint(ModelParams(n, m, p))
         expect = reference.law_as_table(reference.joint_law(n, m, p), n, m)
         assert got.pmf == expect
 
-    @pytest.mark.parametrize("n,m", [(3, 3), (2, 4), (4, 2)])
+    @pytest.mark.parametrize("n,m", [(3, 3), (2, 4), (4, 2), (2, 5), (5, 2)])
     def test_exchangeable_in_tracked_pair(self, n, m):
         params = ModelParams(n, m, Fraction(2, 5))
         base = exhaustive_joint(params)
@@ -187,6 +194,25 @@ class TestExhaustiveJoint:
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
             exhaustive_joint(ModelParams(5, 5, HALF))
+
+    @pytest.mark.parametrize(
+        "wrong_line, guard",
+        [
+            # forgets the line with every bit set: too few tables
+            (lambda targets: targets[:-1], "tables, not 2"),
+            # counts the line with bit 0 alone as the empty line: right total,
+            # wrong edge counts
+            (lambda targets: targets[[0, 0, *range(2, len(targets))]], "edges, not C"),
+        ],
+    )
+    @pytest.mark.parametrize("n,m", [(3, 2), (2, 3)])
+    def test_counting_guards(self, monkeypatch, wrong_line, guard, n, m):
+        original = bipartite._add_line
+        monkeypatch.setattr(
+            bipartite, "_add_line", lambda state, targets: original(state, wrong_line(targets))
+        )
+        with pytest.raises(ValueError, match=guard):
+            exhaustive_joint(ModelParams(n, m, HALF))
 
     def test_tracked_index_bounds(self):
         with pytest.raises(IndexError):

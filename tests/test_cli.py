@@ -274,6 +274,32 @@ class TestVerifyCommand:
         assert doc["checks"][0] == {"name": "enumeration_vs_formula", "status": "FAIL"}
 
 
+    def test_failure_names_first_mismatch(self, capsys, monkeypatch):
+        original = pgf.moment_table
+
+        def table_with_p_and_q_swapped(params, max_cells=None):
+            # the law at 1-p is a valid law, just the wrong one
+            swapped = original(pgf.ModelParams(params.n, params.m, 1 - params.p), max_cells)
+            return pgf.MomentTable(params, swapped.scale, swapped.numerators)
+
+        monkeypatch.setattr(pgf, "moment_table", table_with_p_and_q_swapped)
+        code, out, err = run(capsys, ["verify", "--n", "3", "--m", "4", "--p", "2/5"])
+        assert code == 1
+        assert out.splitlines() == [
+            "check,status",
+            "enumeration_vs_formula,FAIL",
+            "edge_split_recombination,PASS",
+            "pgf_transform_identity,FAIL",
+        ]
+        lines = err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("enumeration_vs_formula: first mismatch at (a,b) = (0,0): ")
+        assert lines[1].startswith(
+            "pgf_transform_identity: first mismatch at (x,y) = (2/3,3/5): PGF "
+        )
+        assert "enumerated polynomial" in lines[1]
+
+
 class TestScanCommand:
     def test_grid_rows(self, capsys):
         code, out, _ = run(capsys, ["scan", "--n", "2", "--m", "2", "--p-grid", "0:1:0.25"])
