@@ -10,12 +10,10 @@ from .bipartite import (
 )
 from .exact import (
     Mode,
-    Rational,
     Scalar,
     SizeCapError,
     as_scalar,
     binom,
-    ipow,
     parse_probability,
 )
 from .pgf import (
@@ -56,7 +54,6 @@ __all__ = [
     "ModelParams",
     "MomentSummary",
     "MomentTable",
-    "Rational",
     "Scalar",
     "Side",
     "SizeCapError",
@@ -73,7 +70,6 @@ __all__ = [
     "eval_marginal_pgf",
     "exhaustive_joint",
     "independence_gap",
-    "ipow",
     "joint_pmf",
     "marginal_pmf",
     "moment_entry",

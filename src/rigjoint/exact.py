@@ -1,4 +1,4 @@
-"""Exact-arithmetic substrate: rationals, binomials, and the exact/float switch.
+"""Exact-arithmetic substrate: binomials, probability parsing, and the exact/float switch.
 
 Every probability computation in this package runs entirely in one arithmetic
 mode: exact or double precision (``float``). Exact mode is the default and the
@@ -15,9 +15,6 @@ import math
 from enum import Enum
 from fractions import Fraction
 from typing import Union
-
-# Stored normalized by construction: denominator > 0, gcd(num, den) == 1.
-Rational = Fraction
 
 # A value carried by one arithmetic mode. Plain ints are welcome in either
 # mode and promote losslessly.
@@ -40,13 +37,6 @@ def binom(n: int, k: int) -> int:
     if n < 0 or k < 0:
         raise ValueError(f"binom requires nonnegative arguments, got ({n}, {k})")
     return math.comb(n, k)
-
-
-def ipow(base: Scalar, exponent: int) -> Scalar:
-    """base**exponent for a nonnegative integer exponent, with 0**0 == 1."""
-    if exponent < 0:
-        raise ValueError(f"ipow requires a nonnegative exponent, got {exponent}")
-    return base**exponent
 
 
 def parse_probability(text: str) -> Fraction:

@@ -25,9 +25,11 @@ is F(x, y) = u(x)^T N v(y) with u_k = x^(n-1-k) (1-x)^k and v_l likewise in y.
 Exact mode runs in integers. With p = a/b, every table cell is an integer
 over the common denominator b^(n*m) (``MomentTable``), the transform only
 adds and subtracts those integers, and each probability becomes a Fraction
-at the end. The transform cancels catastrophically in floating point, so
-there is no float pmf: float mode covers PGF point evaluation
-(``eval_joint_pgf``, ``eval_marginal_pgf``) and moments (``moment_entry``).
+at the end. The marginal moments (``_marginal_form``) are integers over the
+same denominator, and exact PGFs are integer dot products with the basis
+u or v. The transform cancels catastrophically in floating point, so there
+is no float pmf: float mode covers PGF point evaluation (``eval_joint_pgf``,
+``eval_marginal_pgf``) and moments (``moment_entry``).
 
 The float joint PGF sums the closed form's triple sum in numpy without
 forming the table (``_eval_joint_float``). Its binomial weights, u(x), v(y)
@@ -45,11 +47,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
-from .exact import Mode, Scalar, SizeCapError, as_scalar, binom, zero
+from .exact import Mode, Scalar, as_scalar, binom
 
 # l values per block of the float joint PGF. Larger blocks mean fewer Horner
 # passes over k, hence fewer numpy calls; smaller ones mean less padding above
@@ -90,6 +91,11 @@ def _basis(t: Fraction, size: int) -> list:
     return [a ** (size - 1 - k) * (b - a) ** k for k in range(size)]
 
 
+def _dot(values, basis) -> int:
+    """Integer dot product of falling-moment numerators with a basis from ``_basis``."""
+    return sum(e * w for e, w in zip(values, basis))
+
+
 @dataclass(frozen=True)
 class MomentTable:
     """Falling moments over one denominator: N[k][l] = numerators[k][l] / scale."""
@@ -120,10 +126,7 @@ class MomentTable:
         x, y = as_scalar(x, Mode.EXACT), as_scalar(y, Mode.EXACT)
         n, m = self.params.n, self.params.m
         v = _basis(y, m)
-        total = sum(
-            uk * sum(e * vl for e, vl in zip(row, v))
-            for uk, row in zip(_basis(x, n), self.numerators)
-        )
+        total = _dot((_dot(row, v) for row in self.numerators), _basis(x, n))
         return Fraction(total, self.scale * x.denominator ** (n - 1) * y.denominator ** (m - 1))
 
 
@@ -169,10 +172,6 @@ class MarginalDistribution:
             raise ValueError(f"pmf must sum to exactly 1, got {total}")
 
 
-def _coerced_p(params: ModelParams, mode: Mode):
-    return params.p if mode is Mode.EXACT else float(params.p)
-
-
 def _check_orders(params: ModelParams, k: int, l: int) -> None:
     if not 0 <= k <= params.n - 1:
         raise ValueError(f"k must lie in [0, {params.n - 1}], got {k}")
@@ -180,9 +179,7 @@ def _check_orders(params: ModelParams, k: int, l: int) -> None:
         raise ValueError(f"l must lie in [0, {params.m - 1}], got {l}")
 
 
-def cond_nonadjacency_given_edge(
-    params: ModelParams, k: int, l: int, mode: Mode = Mode.EXACT
-) -> Scalar:
+def cond_nonadjacency_given_edge(params: ModelParams, k: int, l: int) -> Fraction:
     """P(tracked pair avoids k marked vertices and l marked objects | edge).
 
     Conditioned on the tracked vertex-object edge being present. The index i
@@ -192,9 +189,9 @@ def cond_nonadjacency_given_edge(
     """
     _check_orders(params, k, l)
     n, m = params.n, params.m
-    p = _coerced_p(params, mode)
+    p = params.p
     q = 1 - p
-    total = zero(mode)
+    total = Fraction(0)
     for i in range(1, n - k + 1):
         for j in range(1, m - l + 1):
             total += (
@@ -210,9 +207,7 @@ def cond_nonadjacency_given_edge(
     return total
 
 
-def cond_nonadjacency_given_nonedge(
-    params: ModelParams, k: int, l: int, mode: Mode = Mode.EXACT
-) -> Scalar:
+def cond_nonadjacency_given_nonedge(params: ModelParams, k: int, l: int) -> Fraction:
     """P(tracked pair avoids k marked vertices and l marked objects | no edge).
 
     Conditioned on the tracked vertex-object edge being absent, marked
@@ -224,9 +219,9 @@ def cond_nonadjacency_given_nonedge(
     """
     _check_orders(params, k, l)
     n, m = params.n, params.m
-    p = _coerced_p(params, mode)
+    p = params.p
     q = 1 - p
-    total = zero(mode)
+    total = Fraction(0)
     for i_s in range(k + 1):
         for i_o in range(n - k):
             for j_s in range(l + 1):
@@ -279,15 +274,12 @@ def moment_entry(params: ModelParams, k: int, l: int, mode: Mode = Mode.EXACT) -
     return Fraction(_closed_form(n, m, a, b - a, b, k, l), b ** (n * m - (n - 1 - k) * (m - 1 - l)))
 
 
-def moment_table(params: ModelParams, max_cells: Optional[int] = None) -> MomentTable:
+def moment_table(params: ModelParams) -> MomentTable:
     """Dense table of all falling moments N[k][l], 0 <= k < n, 0 <= l < m.
 
-    Every cell is an integer over den(p)^(n*m). ``max_cells`` caps n*m;
-    exceeding it raises SizeCapError.
+    Every cell is an integer over den(p)^(n*m).
     """
     n, m = params.n, params.m
-    if max_cells is not None and n * m > max_cells:
-        raise SizeCapError(f"exact moment table needs n*m <= {max_cells}, got {n * m}")
     a, b = params.p.numerator, params.p.denominator
     numerators = tuple(
         tuple(
@@ -333,9 +325,9 @@ def sieve_invert(table: MomentTable) -> JointDegreeDistribution:
     return JointDegreeDistribution(table.params, pmf)
 
 
-def joint_pmf(params: ModelParams, max_cells: Optional[int] = None) -> JointDegreeDistribution:
+def joint_pmf(params: ModelParams) -> JointDegreeDistribution:
     """Exact joint pmf of (X, Y): moment table followed by sieve inversion."""
-    return sieve_invert(moment_table(params, max_cells))
+    return sieve_invert(moment_table(params))
 
 
 def eval_joint_pgf(params: ModelParams, x: Scalar, y: Scalar, mode: Mode = Mode.EXACT) -> Scalar:
@@ -414,45 +406,59 @@ def _eval_joint_float(params: ModelParams, x: float, y: float) -> float:
     return float(total)
 
 
+def _marginal_form(size: int, other: int, a, c, b, k: int):
+    """Marginal falling moment C(size-1, k) (q + p q^k)^other for p = a/b, q = c/b.
+
+    Returns the numerator over b^(other*(k+1)). Exact mode passes integers with
+    c = b - a; float mode passes (p, 1-p, 1.0), so the result is the moment.
+    """
+    return binom(size - 1, k) * (c * b**k + a * c**k) ** other
+
+
+def _marginal_moments(size: int, other: int, p: Fraction) -> tuple:
+    """Marginal falling moments as integer numerators over den(p)^(n*m), and that scale."""
+    a, b = p.numerator, p.denominator
+    numerators = [
+        _marginal_form(size, other, a, b - a, b, k) * b ** (other * (size - 1 - k))
+        for k in range(size)
+    ]
+    return numerators, b ** (size * other)
+
+
 def eval_marginal_pgf(
     params: ModelParams, side: Side, t: Scalar, mode: Mode = Mode.EXACT
 ) -> Scalar:
-    """Evaluate the marginal PGF E[t^X] (active) or E[t^Y] (passive)."""
+    """Evaluate the marginal PGF E[t^X] (active) or E[t^Y] (passive).
+
+    F(t) = sum_k t^(s-1-k) (1-t)^k M[k] over the marginal falling moments M,
+    with s the side's size. Exact mode reads F off the integer vector that
+    ``marginal_pmf`` sieves; float mode sums the same form in floats.
+    """
     t = as_scalar(t, mode)
-    n, m = params.n, params.m
-    size, other = (n, m) if side is Side.ACTIVE else (m, n)
-    p = _coerced_p(params, mode)
-    q, qk = 1 - p, p**0  # qk = q^k, carried in the mode's type
-    total = zero(mode)
-    for k in range(size):
-        total += (
-            binom(size - 1, k)
-            * t ** (size - 1 - k)
-            * (1 - t) ** k
-            * (1 - p + p * qk) ** other
-        )
-        qk *= q
-    return total
+    size, other = (params.n, params.m) if side is Side.ACTIVE else (params.m, params.n)
+    if mode is Mode.EXACT:
+        numerators, scale = _marginal_moments(size, other, params.p)
+        return Fraction(_dot(numerators, _basis(t, size)), scale * t.denominator ** (size - 1))
+    p = float(params.p)
+    return sum(
+        t ** (size - 1 - k) * (1 - t) ** k * _marginal_form(size, other, p, 1.0 - p, 1.0, k)
+        for k in range(size)
+    )
 
 
 def marginal_pmf(params: ModelParams, side: Side) -> MarginalDistribution:
     """Degree law on one side, by the one-dimensional sieve.
 
-    The marginal falling moments C(s-1,k) (1-p+p q^k)^o, with s the side's
-    size and o the other side's, are integers over den(p)^(n*m) like the
-    joint table. The result equals the row or column sums of ``joint_pmf``.
+    The marginal falling moments (``_marginal_form``) are integers over
+    den(p)^(n*m) like the joint table. The result equals the row or column
+    sums of ``joint_pmf``.
     """
     size, other = (params.n, params.m) if side is Side.ACTIVE else (params.m, params.n)
-    a, b = params.p.numerator, params.p.denominator
-    c = b - a
-    moments = [
-        binom(size - 1, k) * (c * b**k + a * c**k) ** other * b ** (other * (size - 1 - k))
-        for k in range(size)
-    ]
-    return MarginalDistribution(side, _reversed_pmf(_sieve(moments), b ** (size * other)))
+    numerators, scale = _marginal_moments(size, other, params.p)
+    return MarginalDistribution(side, _reversed_pmf(_sieve(numerators), scale))
 
 
-def recombination_check(params: ModelParams, k: int, l: int, mode: Mode = Mode.EXACT):
+def recombination_check(params: ModelParams, k: int, l: int) -> tuple:
     """Rebuild N[k][l] from the edge/non-edge conditionals; return (lhs, rhs).
 
     lhs multiplies the subset count C(n-1,k) C(m-1,l) into the edge-split
@@ -460,13 +466,13 @@ def recombination_check(params: ModelParams, k: int, l: int, mode: Mode = Mode.E
     closed form. Callers assert lhs == rhs.
     """
     _check_orders(params, k, l)
-    p = _coerced_p(params, mode)
+    p = params.p
     lhs = (
         binom(params.n - 1, k)
         * binom(params.m - 1, l)
         * (
-            p * cond_nonadjacency_given_edge(params, k, l, mode)
-            + (1 - p) * cond_nonadjacency_given_nonedge(params, k, l, mode)
+            p * cond_nonadjacency_given_edge(params, k, l)
+            + (1 - p) * cond_nonadjacency_given_nonedge(params, k, l)
         )
     )
-    return lhs, moment_entry(params, k, l, mode)
+    return lhs, moment_entry(params, k, l)

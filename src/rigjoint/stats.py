@@ -4,8 +4,9 @@ and goodness-of-fit metrics for Monte Carlo output.
 Means, variances, and the covariance come straight from the falling moments:
 with Y1 = n-1-X and Y2 = m-1-Y, E[Y1] = N[1][0], E[Y1(Y1-1)] = 2 N[2][0],
 E[Y1 Y2] = N[1][1], and shifting by constants leaves variances and the
-covariance unchanged. Whether cov(X, Y) can ever be negative is not settled
-here; the scan tooling only reports what it finds on a grid.
+covariance unchanged. X and Y are both increasing functions of the edge set,
+so cov(X, Y) >= 0 by Harris's inequality; float mode can still print a
+negative value at tiny p, where N11 - N10 N01 cancels.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .pgf import (
     JointDegreeDistribution,
     ModelParams,
     Side,
-    eval_joint_pgf,
+    eval_joint_pgf,  # noqa: F401 (unused; benchmarks/test_smoke.py reads stats.eval_joint_pgf)
     eval_marginal_pgf,
     moment_entry,
     moment_table,
@@ -66,8 +67,14 @@ def moments(params: ModelParams, mode: Mode = Mode.EXACT) -> MomentSummary:
     cov = n11 - n10 * n01
     if var_x <= 0 or var_y <= 0:
         corr = None
+    elif mode is Mode.FLOAT:
+        corr = cov / math.sqrt(var_x) / math.sqrt(var_y)
     else:
-        corr = float(cov) / math.sqrt(float(var_x) * float(var_y))
+        # float(var_x) * float(var_y) can underflow to 0, so the exact ratio
+        # cov^2 / (var_x var_y) is scaled by 4^-e before the root, 2^e after.
+        ratio = (cov / var_x) * (cov / var_y)
+        e = (ratio.numerator.bit_length() - ratio.denominator.bit_length()) // 2
+        corr = math.copysign(math.ldexp(math.sqrt(ratio / Fraction(4) ** e), e), cov)
     return MomentSummary(mode, mean_x, mean_y, var_x, var_y, cov, corr)
 
 
@@ -77,25 +84,22 @@ def default_independence_grid() -> tuple:
     return tuple((x, y) for x in ticks for y in ticks)
 
 
-def independence_gap(
-    params: ModelParams, grid: Sequence[Tuple[Scalar, Scalar]], mode: Mode = Mode.EXACT
-) -> Scalar:
-    """max over the grid of |F(x,y) - F_X(x) F_Y(y)|.
+def independence_gap(params: ModelParams, grid: Sequence[Tuple[Scalar, Scalar]]) -> Fraction:
+    """Exact max over the grid of |F(x,y) - F_X(x) F_Y(y)|.
 
     Zero on a coefficient-determining grid certifies independence of X and Y;
-    a positive gap anywhere certifies dependence. Exact mode builds the moment
-    table once and reads F off it at every point.
+    a positive gap anywhere certifies dependence. The moment table is built
+    once and F read off it at every point.
     """
     if not grid:
         raise ValueError("independence grid must be nonempty")
-    table = moment_table(params) if mode is Mode.EXACT else None
-    gap = zero(mode)
+    table = moment_table(params)
+    gap = Fraction(0)
     for x, y in grid:
-        joint = table.eval_pgf(x, y) if table is not None else eval_joint_pgf(params, x, y, mode)
-        split = eval_marginal_pgf(params, Side.ACTIVE, x, mode) * eval_marginal_pgf(
-            params, Side.PASSIVE, y, mode
+        split = eval_marginal_pgf(params, Side.ACTIVE, x) * eval_marginal_pgf(
+            params, Side.PASSIVE, y
         )
-        gap = max(gap, abs(joint - split))
+        gap = max(gap, abs(table.eval_pgf(x, y) - split))
     return gap
 
 

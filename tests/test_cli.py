@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -167,11 +168,47 @@ class TestMomentsCommand:
         doc = json.loads(out)
         assert doc["result"]["cov"] == {"num": "31", "den": "256"}
 
+    @pytest.mark.parametrize("n,m,p", [(2000, 2000, "1/2"), (7, 5, "2/7")])
+    def test_corr_matches_log_space_closed_form(self, capsys, n, m, p):
+        # At 2000x2000 the variances are about 1e-247 each, so their float
+        # product underflows to 0; 7x5 checks the log-space value itself.
+        code, out, _ = run(capsys, ["moments", "--n", str(n), "--m", str(m), "--p", p,
+                                    "--format", "json"])
+        assert code == 0
+        corr = json.loads(out)["result"]["corr"]
+        assert corr == pytest.approx(log_space_corr(n, m, float(Fraction(p))), rel=1e-12, abs=0)
+
+    def test_float_mode_survives_variance_underflow(self, capsys):
+        argv = ["moments", "--n", "2000", "--m", "2000", "--p", "1/2", "--mode", "float"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out.splitlines()[-1].startswith("corr,,")
+
     def test_rational_past_int_str_limit_exits_3(self, capsys):
         code, out, err = run(capsys, ["moments", "--n", "2000", "--m", "2000", "--p", "1/100"])
         assert code == 3
         assert out == ""
         assert "4300 digits" in err
+
+
+def log_space_corr(n, m, p):
+    """corr(X, Y) from closed forms of the covariance and variances, in logs.
+
+    With q = 1-p and s = 1-p^2:
+    cov = (n-1)(m-1) s^(n+m-4) q^2 p^3 (4 + p - 2p^2 - p^3) and
+    Var X = (n-1) s^m ((1 - s^m) + (n-2) s^m expm1(m log1p(p^3 q / s^2))),
+    Var Y likewise with n and m swapped.
+    """
+    q, s = 1 - p, 1 - p * p
+    log_cov = (math.log((n - 1) * (m - 1)) + (n + m - 4) * math.log(s) + 2 * math.log(q)
+               + 3 * math.log(p) + math.log(4 + p - 2 * p * p - p**3))
+
+    def log_var(a, b):
+        sb = s**b
+        rest = -sb + (a - 2) * sb * math.expm1(b * math.log1p(p**3 * q / s**2))
+        return math.log(a - 1) + b * math.log(s) + math.log1p(rest)
+
+    return math.exp(log_cov - (log_var(n, m) + log_var(m, n)) / 2)
 
 
 class TestSimulateCommand:
@@ -277,9 +314,9 @@ class TestVerifyCommand:
     def test_failure_names_first_mismatch(self, capsys, monkeypatch):
         original = pgf.moment_table
 
-        def table_with_p_and_q_swapped(params, max_cells=None):
+        def table_with_p_and_q_swapped(params):
             # the law at 1-p is a valid law, just the wrong one
-            swapped = original(pgf.ModelParams(params.n, params.m, 1 - params.p), max_cells)
+            swapped = original(pgf.ModelParams(params.n, params.m, 1 - params.p))
             return pgf.MomentTable(params, swapped.scale, swapped.numerators)
 
         monkeypatch.setattr(pgf, "moment_table", table_with_p_and_q_swapped)

@@ -2,10 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from rigjoint import Mode, as_scalar, binom, ipow, parse_probability
+from rigjoint import Mode, as_scalar, binom, parse_probability
 
 # 29-digit value, cross-checked against the Pascal recurrence below.
 C_99_50 = 50445672272782096667406248628
@@ -47,22 +47,6 @@ def test_binom_symmetry_and_pascal_up_to_64():
             assert binom(n, k) == binom(n - 1, k - 1) + binom(n - 1, k)
 
 
-def test_ipow_zero_to_zero_is_one():
-    assert ipow(0, 0) == 1
-    assert ipow(Fraction(0), 0) == Fraction(1)
-    assert ipow(0.0, 0) == 1.0
-
-
-def test_ipow_examples():
-    assert ipow(Fraction(1, 2), 3) == Fraction(1, 8)
-    assert ipow(Fraction(3, 4), 2) == Fraction(9, 16)
-
-
-def test_ipow_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        ipow(Fraction(1, 2), -1)
-
-
 fractions_strategy = st.builds(
     Fraction,
     st.integers(min_value=-50, max_value=50),
@@ -84,17 +68,6 @@ def test_rational_field_axioms(a, b, c):
 def test_rational_stored_normalized(a):
     assert a.denominator > 0
     assert math.gcd(abs(a.numerator), a.denominator) == 1
-
-
-@given(
-    st.fractions(min_value=0, max_value=1, max_denominator=30),
-    st.integers(min_value=0, max_value=40),
-)
-@settings(max_examples=60)
-def test_ipow_exact_float_agreement(base, e):
-    exact = float(ipow(base, e))
-    approx = ipow(float(base), e)
-    assert approx == pytest.approx(exact, rel=1e-9, abs=1e-300)
 
 
 def test_parse_probability_fraction_and_decimal():

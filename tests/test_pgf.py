@@ -9,7 +9,6 @@ from rigjoint import (
     Mode,
     ModelParams,
     Side,
-    SizeCapError,
     cond_nonadjacency_given_edge,
     cond_nonadjacency_given_nonedge,
     eval_joint_pgf,
@@ -171,10 +170,6 @@ class TestMomentTable:
             table = moment_table(ModelParams(n, m, p))
             assert table.entry(0, 0) == 1
             assert all(table.entry(k, l) >= 0 for k in range(n) for l in range(m))
-
-    def test_size_cap(self):
-        with pytest.raises(SizeCapError):
-            moment_table(ModelParams(10, 10, HALF), max_cells=50)
 
 
 class TestSieveInvert:
@@ -345,6 +340,18 @@ class TestMarginals:
                 params, Side.PASSIVE, t
             )
 
+    def test_float_mode_tracks_exact(self):
+        # On [0, 1] every term is nonnegative, so the gate is purely relative.
+        ts = [Fraction(i, 10) for i in range(11)]
+        for n, m in [(40, 40), (1, 6), (6, 1), (9, 14), (14, 9)]:
+            for p in [Fraction(0), Fraction(1), HALF, Fraction(3, 7), Fraction(1, 100)]:
+                params = ModelParams(n, m, p)
+                for side in Side:
+                    for t in ts:
+                        exact = eval_marginal_pgf(params, side, t)
+                        approx = eval_marginal_pgf(params, side, float(t), Mode.FLOAT)
+                        assert approx == pytest.approx(float(exact), rel=1e-12, abs=0)
+
     def test_point_mass_at_zero_when_p_zero(self):
         law = marginal_pmf(ModelParams(5, 3, Fraction(0)), Side.ACTIVE)
         assert law.pmf == (1, 0, 0, 0, 0)
@@ -401,6 +408,18 @@ class TestExactPipelineProperties:
         fwd = joint_pmf(ModelParams(n, m, p)).pmf
         rev = joint_pmf(ModelParams(m, n, p)).pmf
         assert tuple(zip(*fwd)) == rev
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_models(), st.fractions(-3, 3, max_denominator=7), st.booleans())
+    @example((3, 4, Fraction(2, 5)), Fraction(-3, 2), True)
+    @example((4, 3, Fraction(2, 5)), Fraction(7, 3), False)
+    def test_marginal_pgf_equals_enumerated_polynomial(self, model, t, active):
+        n, m, p = model
+        law = reference.marginal_law(n, m, p, active=active)
+        side = Side.ACTIVE if active else Side.PASSIVE
+        assert eval_marginal_pgf(ModelParams(n, m, p), side, t) == sum(
+            w * t**d for d, w in law.items()
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(small_models())
