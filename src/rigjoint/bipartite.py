@@ -18,16 +18,16 @@ every edge; ``stats.edge_count_correlation`` needs the whole graph.
 ``exhaustive_joint`` is the ground-truth oracle: it counts every one of the
 2^(n*m) adjacency tables exactly, row by row (a transfer-matrix count), by
 degree pair and edge count, and weights each count by p^edges
-(1-p)^(non-edges) in exact rationals. Two guards make a miscount raise
-instead of passing quietly: the counts total 2^(n*m), and those with e edges
-total C(n*m, e). It uses no closed form and exists to validate the
-closed-form route; it is capped at n*m <= 22.
+(1-p)^(non-edges) in integers over den(p)^(n*m), the scale the closed-form
+route uses too. Two guards make a miscount raise instead of passing quietly:
+the counts total 2^(n*m), and those with e edges total C(n*m, e). It uses
+no closed form and exists to validate the closed-form route; it is capped
+at n*m <= 22.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -69,9 +69,9 @@ def derive_trial_seed(seed: int, index: int) -> int:
     return _mix64(seed + (index + 1) * _GAMMA)
 
 
-def _edge_threshold(p: Fraction) -> int:
+def _edge_threshold(params: ModelParams) -> int:
     """Edge present iff its 64-bit word is strictly below this threshold."""
-    return (p.numerator << 64) // p.denominator
+    return (params.p.numerator << 64) // params.p.denominator
 
 
 def _trial_seeds(seed: int, start: int, count: int) -> np.ndarray:
@@ -92,7 +92,7 @@ def _adjacency_batch(params: ModelParams, seed: int, start: int, count: int) -> 
     n, m = params.n, params.m
     offsets = np.arange(1, n * m + 1, dtype=np.uint64) * np.uint64(_GAMMA)
     counters = _trial_seeds(seed, start, count)[:, None] + offsets[None, :]
-    return _edges_present(counters, _edge_threshold(params.p)).reshape(count, n, m)
+    return _edges_present(counters, _edge_threshold(params)).reshape(count, n, m)
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def _degree_batch(params: ModelParams, seed: int, start: int, count: int) -> tup
     has an edge in some row of N(o0).
     """
     n, m = params.n, params.m
-    threshold = _edge_threshold(params.p)
+    threshold = _edge_threshold(params)
     seeds = _trial_seeds(seed, start, count)
     # edge (i, j) has counter trial_seed + (i*m + j + 1)*gamma = trial_seed + row[i] + col[j]
     gamma = np.uint64(_GAMMA)
@@ -252,9 +252,7 @@ def exhaustive_joint(
 
     a, b = params.p.numerator, params.p.denominator
     weights = [a**e * (b - a) ** (nm - e) for e in range(nm + 1)]
-    scale = b**nm
-    pmf = tuple(
-        tuple(Fraction(sum(c * w for c, w in zip(cell, weights)), scale) for cell in row)
-        for row in counts.tolist()
+    cells = tuple(
+        tuple(sum(c * w for c, w in zip(cell, weights)) for cell in row) for row in counts.tolist()
     )
-    return JointDegreeDistribution(params, pmf)
+    return JointDegreeDistribution(params, b**nm, cells)

@@ -91,11 +91,14 @@ def _params_json(params: ModelParams) -> dict:
 
 
 def _emit(text: str, path) -> None:
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:  # a usage error (exit 2), not a failed check (exit 1)
+        raise ValueError(f"cannot write --output {path}: {exc.strerror or exc}") from exc
 
 
 def _build_params(args) -> ModelParams:
@@ -271,13 +274,13 @@ def cmd_verify(args) -> int:
     oracle = exhaustive_joint(params)
 
     def formula_mismatches():
-        formula = joint_pmf(params).pmf
+        formula = joint_pmf(params)
         for a in range(n):
             for b in range(m):
-                if formula[a][b] != oracle.pmf[a][b]:
+                if formula.counts[a][b] * oracle.scale != oracle.counts[a][b] * formula.scale:
                     yield (
-                        f"(a,b) = ({a},{b}): formula {formula[a][b]}, "
-                        f"enumeration {oracle.pmf[a][b]}"
+                        f"(a,b) = ({a},{b}): formula {formula.prob(a, b)}, "
+                        f"enumeration {oracle.prob(a, b)}"
                     )
 
     def recombination_mismatches():

@@ -3,10 +3,10 @@
 Every probability computation in this package runs entirely in one arithmetic
 mode: exact or double precision (``float``). Exact mode is the default and the
 only mode for pmfs: with p = a/b it carries integers over the common
-denominator b^(n*m) from the moment table to the pmf, and hands results out as
-``fractions.Fraction``. Float mode covers point evaluation of generating
-functions and moments only, at sizes where big integers get expensive. The
-two are never mixed inside a computation.
+denominator b^(n*m) from the moment table to the law's counts, and hands
+results out as ``fractions.Fraction``. Float mode covers point evaluation of
+generating functions and moments only, at sizes where big integers get
+expensive. The two are never mixed inside a computation.
 """
 
 from __future__ import annotations

@@ -24,8 +24,9 @@ is F(x, y) = u(x)^T N v(y) with u_k = x^(n-1-k) (1-x)^k and v_l likewise in y.
 
 Exact mode runs in integers. With p = a/b, every table cell is an integer
 over the common denominator b^(n*m) (``MomentTable``), the transform only
-adds and subtracts those integers, and each probability becomes a Fraction
-at the end. The marginal moments (``_marginal_form``) are integers over the
+adds and subtracts those integers, and a law keeps the results as integer
+``counts`` over that ``scale``, with ``.pmf`` a Fraction view built on first
+access. The marginal moments (``_marginal_form``) are integers over the
 same denominator, and exact PGFs are integer dot products with the basis
 u or v. The transform cancels catastrophically in floating point, so there
 is no float pmf: float mode covers PGF point evaluation (``eval_joint_pgf``,
@@ -47,6 +48,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -130,46 +132,57 @@ class MomentTable:
         return Fraction(total, self.scale * x.denominator ** (n - 1) * y.denominator ** (m - 1))
 
 
+def _check_counts(counts, scale: int) -> None:
+    """The one validation of a law: nonnegative integer counts summing to ``scale``."""
+    if any(c < 0 for c in counts):
+        raise ValueError("not a valid falling-moment table (negative probability)")
+    if sum(counts) != scale:
+        raise ValueError("law counts do not sum to their scale (probabilities must sum to 1)")
+
+
 @dataclass(frozen=True)
 class JointDegreeDistribution:
-    """Joint pmf of the degree pair; ``pmf[a][b]`` = P(X=a, Y=b)."""
+    """Joint law of the degree pair: P(X=a, Y=b) = counts[a][b] / scale."""
 
     params: ModelParams
-    pmf: tuple
+    scale: int
+    counts: tuple
 
     def __post_init__(self):
         n, m = self.params.n, self.params.m
-        if len(self.pmf) != n or any(len(row) != m for row in self.pmf):
+        if len(self.counts) != n or any(len(row) != m for row in self.counts):
             raise ValueError("pmf dimensions do not match params")
-        if any(v < 0 for row in self.pmf for v in row):
-            raise ValueError("pmf entries must be nonnegative")
-        total = sum(v for row in self.pmf for v in row)
-        if total != 1:
-            raise ValueError(f"pmf must sum to exactly 1, got {total}")
+        _check_counts([c for row in self.counts for c in row], self.scale)
+
+    @cached_property
+    def pmf(self) -> tuple:
+        """``pmf[a][b]`` = P(X=a, Y=b) as a Fraction."""
+        return tuple(tuple(Fraction(c, self.scale) for c in row) for row in self.counts)
 
     def prob(self, a: int, b: int) -> Fraction:
-        return self.pmf[a][b]
+        return Fraction(self.counts[a][b], self.scale)
 
     def marginal(self, side: Side) -> tuple:
         """Row sums (active side) or column sums (passive side) of the pmf."""
-        if side is Side.ACTIVE:
-            return tuple(sum(row) for row in self.pmf)
-        return tuple(sum(row[b] for row in self.pmf) for b in range(self.params.m))
+        lines = self.counts if side is Side.ACTIVE else zip(*self.counts)
+        return tuple(Fraction(sum(line), self.scale) for line in lines)
 
 
 @dataclass(frozen=True)
 class MarginalDistribution:
-    """One-dimensional degree law on one side of the projection pair."""
+    """Degree law on one side of the projection pair: P(degree d) = counts[d] / scale."""
 
     side: Side
-    pmf: tuple
+    scale: int
+    counts: tuple
 
     def __post_init__(self):
-        if any(v < 0 for v in self.pmf):
-            raise ValueError("pmf entries must be nonnegative")
-        total = sum(self.pmf)
-        if total != 1:
-            raise ValueError(f"pmf must sum to exactly 1, got {total}")
+        _check_counts(self.counts, self.scale)
+
+    @cached_property
+    def pmf(self) -> tuple:
+        """``pmf[d]`` = P(degree d) as a Fraction."""
+        return tuple(Fraction(c, self.scale) for c in self.counts)
 
 
 def _check_orders(params: ModelParams, k: int, l: int) -> None:
@@ -304,25 +317,18 @@ def _sieve(values) -> list:
     return c
 
 
-def _reversed_pmf(counts, scale: int) -> tuple:
-    """Probabilities counts[s-1-d] / scale for d = 0..s-1; rejects negative counts."""
-    if any(c < 0 for c in counts):
-        raise ValueError("not a valid falling-moment table (negative probability)")
-    return tuple(Fraction(c, scale) for c in reversed(counts))
-
-
 def sieve_invert(table: MomentTable) -> JointDegreeDistribution:
     """Recover the joint pmf of (X, Y) from the falling-moment table.
 
     The signed binomial transform along l and then along k gives the pmf of
-    the non-neighbor pair (Y1, Y2); reversing both indices gives (X, Y). All
-    of it runs over the table's integers, so the result is exact, and any
-    negative probability means the table came from no model (ValueError).
+    the non-neighbor pair (Y1, Y2); reversing both indices gives (X, Y). The
+    law keeps the resulting integers over the table's scale, so it is exact,
+    and any negative count means the table came from no model (ValueError).
     """
     by_l = [_sieve(row) for row in table.numerators]
-    counts = zip(*(_sieve(col) for col in zip(*by_l)))
-    pmf = tuple(_reversed_pmf(row, table.scale) for row in reversed(list(counts)))
-    return JointDegreeDistribution(table.params, pmf)
+    by_k = [_sieve(col) for col in zip(*by_l)]
+    counts = tuple(row[::-1] for row in zip(*by_k))[::-1]
+    return JointDegreeDistribution(table.params, table.scale, counts)
 
 
 def joint_pmf(params: ModelParams) -> JointDegreeDistribution:
@@ -450,12 +456,12 @@ def marginal_pmf(params: ModelParams, side: Side) -> MarginalDistribution:
     """Degree law on one side, by the one-dimensional sieve.
 
     The marginal falling moments (``_marginal_form``) are integers over
-    den(p)^(n*m) like the joint table. The result equals the row or column
-    sums of ``joint_pmf``.
+    den(p)^(n*m) like the joint table, and the sieve's counts stay over that
+    scale. They equal the row or column sums of ``joint_pmf``'s counts.
     """
     size, other = (params.n, params.m) if side is Side.ACTIVE else (params.m, params.n)
     numerators, scale = _marginal_moments(size, other, params.p)
-    return MarginalDistribution(side, _reversed_pmf(_sieve(numerators), scale))
+    return MarginalDistribution(side, scale, tuple(_sieve(numerators))[::-1])
 
 
 def recombination_check(params: ModelParams, k: int, l: int) -> tuple:

@@ -89,18 +89,15 @@ def independence_gap(params: ModelParams, grid: Sequence[Tuple[Scalar, Scalar]])
 
     Zero on a coefficient-determining grid certifies independence of X and Y;
     a positive gap anywhere certifies dependence. The moment table is built
-    once and F read off it at every point.
+    once and F read off it at every point; F_X is evaluated once per distinct
+    x and F_Y once per distinct y.
     """
     if not grid:
         raise ValueError("independence grid must be nonempty")
     table = moment_table(params)
-    gap = Fraction(0)
-    for x, y in grid:
-        split = eval_marginal_pgf(params, Side.ACTIVE, x) * eval_marginal_pgf(
-            params, Side.PASSIVE, y
-        )
-        gap = max(gap, abs(table.eval_pgf(x, y) - split))
-    return gap
+    f_x = {x: eval_marginal_pgf(params, Side.ACTIVE, x) for x in {x for x, _ in grid}}
+    f_y = {y: eval_marginal_pgf(params, Side.PASSIVE, y) for y in {y for _, y in grid}}
+    return max(abs(table.eval_pgf(x, y) - f_x[x] * f_y[y]) for x, y in grid)
 
 
 def _check_dims(dist: JointDegreeDistribution, emp: EmpiricalJointDistribution) -> None:
@@ -112,13 +109,9 @@ def _check_dims(dist: JointDegreeDistribution, emp: EmpiricalJointDistribution) 
 def tv_distance(dist: JointDegreeDistribution, emp: EmpiricalJointDistribution) -> float:
     """Total variation distance between the exact law and empirical frequencies."""
     _check_dims(dist, emp)
-    cells = [
-        (dist.pmf[a][b], emp.counts[a][b])
-        for a in range(dist.params.n)
-        for b in range(dist.params.m)
-    ]
-    total = sum(abs(prob - Fraction(count, emp.trials)) for prob, count in cells)
-    return float(total) / 2.0
+    cells = (pair for row, tally in zip(dist.counts, emp.counts) for pair in zip(row, tally))
+    total = sum(abs(c * emp.trials - e * dist.scale) for c, e in cells)
+    return float(Fraction(total, dist.scale * emp.trials)) / 2.0
 
 
 def chi_square(

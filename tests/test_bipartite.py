@@ -224,4 +224,7 @@ class TestExhaustiveJoint:
     @pytest.mark.parametrize("p", [Fraction(1, 4), HALF, Fraction(2, 3)])
     def test_formula_route_agrees(self, n, m, p):
         params = ModelParams(n, m, p)
-        assert joint_pmf(params).pmf == exhaustive_joint(params).pmf
+        formula, oracle = joint_pmf(params), exhaustive_joint(params)
+        assert formula.pmf == oracle.pmf
+        assert formula.scale == oracle.scale == p.denominator ** (n * m)
+        assert formula.counts == oracle.counts

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -131,6 +132,56 @@ class TestInvalidInputs:
     def test_missing_command_exits_2(self, capsys):
         code, _, _ = run(capsys, [])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["verify", "pmf"])
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, command, target):
+        # exit 1 would read as a failed verification
+        path = tmp_path if target == "directory" else tmp_path / "missing" / "out.csv"
+        argv = [command, "--n", "2", "--m", "2", "--p", "1/2", "--output", str(path)]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot write --output {path}")
+
+
+# SHA-256 of stdout for fixed invocations: any change to the exact pipeline
+# or the renderers must leave every output byte as it was.
+STDOUT_DIGESTS = [
+    pytest.param(
+        ["pmf", "--n", "40", "--m", "40", "--p", "3/7"],
+        "77463ea69248ab677fd81b47f2dca08a3e06a32c08e70734186c84fed2963217",
+        id="pmf-csv",
+    ),
+    pytest.param(
+        ["pmf", "--n", "40", "--m", "40", "--p", "3/7", "--format", "json"],
+        "ac10cd75944d35bcbf75060216d4d71105d2f101a9994d42bd0e957521059567",
+        id="pmf-json",
+    ),
+    pytest.param(
+        ["verify", "--n", "4", "--m", "5", "--p", "2/5"],
+        "29fbf902abd5bb10552b8522d51217fbf3766a6c07c9e76ceec7a454e488bc3b",
+        id="verify-csv",
+    ),
+    pytest.param(
+        ["verify", "--n", "4", "--m", "5", "--p", "2/5", "--format", "json"],
+        "bf738179a03dc0fd33c1ec0285ae13e511d795c23b61eeedcb0927c8f2501743",
+        id="verify-json",
+    ),
+    pytest.param(
+        ["simulate", "--n", "10", "--m", "10", "--p", "1/5", "--trials", "20000", "--seed", "3"],
+        "1539f9be7995b8d18513ac53d9f20cf414c8b43c13be0f305e23539d8c0f7f69",
+        id="simulate-csv",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", STDOUT_DIGESTS)
+def test_stdout_is_byte_identical(capsys, argv, digest):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestMomentsCommand:

@@ -21,7 +21,7 @@ from rigjoint import (
     recombination_check,
     sieve_invert,
 )
-from rigjoint.pgf import MomentTable
+from rigjoint.pgf import JointDegreeDistribution, MarginalDistribution, MomentTable
 
 from tests import reference
 
@@ -190,6 +190,41 @@ class TestSieveInvert:
         bad = MomentTable(P22, 16, ((16, 8), (8, 10)))
         with pytest.raises(ValueError):
             sieve_invert(bad)
+
+
+class TestLawContainers:
+    def test_integer_counts_over_one_scale(self):
+        dist = joint_pmf(P22)
+        assert (dist.scale, dist.counts) == (16, ((7, 2), (2, 5)))
+        assert dist.pmf == PMF_22 and dist.pmf is dist.pmf
+        assert dist.prob(1, 1) == Fraction(5, 16)
+        assert dist.marginal(Side.PASSIVE) == (Fraction(9, 16), Fraction(7, 16))
+        law = marginal_pmf(P22, Side.ACTIVE)
+        assert (law.scale, law.counts) == (16, (9, 7))
+        assert law.pmf == (Fraction(9, 16), Fraction(7, 16))
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            (((9, -2), (2, 7)), "negative"),  # sums to 16
+            (((7, 2), (3, 5)), "sum"),
+            (((7, 2), (2, 4)), "sum"),
+            (((7, 2, 0), (2, 5, 0)), "dimensions"),
+            (((16,),), "dimensions"),
+            (((7, 2), (2, 5), (0, 0)), "dimensions"),
+        ],
+    )
+    def test_joint_rejects_invalid_counts(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            JointDegreeDistribution(P22, 16, counts)
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [((17, -1), "negative"), ((9, 8), "sum"), ((9, 6), "sum")],
+    )
+    def test_marginal_rejects_invalid_counts(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            MarginalDistribution(Side.ACTIVE, 16, counts)
 
 
 class TestJointPmf:

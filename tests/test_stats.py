@@ -8,14 +8,18 @@ from rigjoint import (
     EmpiricalJointDistribution,
     Mode,
     ModelParams,
+    Side,
     chi_square,
     default_independence_grid,
     derive_trial_seed,
     edge_count_correlation,
     empirical_joint,
+    eval_joint_pgf,
+    eval_marginal_pgf,
     independence_gap,
     joint_pmf,
     moments,
+    stats,
     tv_distance,
 )
 
@@ -119,6 +123,28 @@ class TestIndependenceGap:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             independence_gap(P22, [])
+
+    def test_marginal_pgf_once_per_distinct_coordinate(self, monkeypatch):
+        params = ModelParams(3, 4, Fraction(2, 5))
+        grid = default_independence_grid()
+        expect = max(
+            abs(
+                eval_joint_pgf(params, x, y)
+                - eval_marginal_pgf(params, Side.ACTIVE, x)
+                * eval_marginal_pgf(params, Side.PASSIVE, y)
+            )
+            for x, y in grid
+        )
+        calls = []
+
+        def counted(params, side, t, *args):
+            calls.append((side, t))
+            return eval_marginal_pgf(params, side, t, *args)
+
+        monkeypatch.setattr(stats, "eval_marginal_pgf", counted)
+        assert independence_gap(params, grid) == expect
+        assert len(calls) == 22
+        assert len(set(calls)) == 22
 
 
 def emp_from_counts(counts, seed=0):
