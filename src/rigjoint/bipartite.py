@@ -35,9 +35,9 @@ import numpy as np
 from .exact import SizeCapError
 from .pgf import JointDegreeDistribution, ModelParams
 
-# Largest n*m that `verify` checks against enumeration. It bounds what
-# `verify` promises and the cost of the edge-split conditionals it also
-# runs; the row-by-row count itself stays well under a second here.
+# Largest n*m that `verify` checks against enumeration; it bounds what `verify` promises, not
+# its cost. On 2 vCPUs the row-by-row count takes well under a second here, and a full (k, l)
+# sweep of the integer edge-split conditionals at most 0.004 s (n*m <= 22) and 0.021 s at 8x8.
 ENUMERATION_CAP = 22
 
 _MASK = (1 << 64) - 1

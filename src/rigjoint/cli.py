@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -67,15 +68,39 @@ def _dec(value) -> str:
     return f"{float(value):.17g}"
 
 
+def _too_many_digits() -> SizeCapError:
+    return SizeCapError(
+        f"result has an integer of more than {sys.get_int_max_str_digits()} digits, "
+        "over Python's integer-to-string limit"
+    )
+
+
 def _digits(value: int) -> str:
     """Decimal digits of an integer; SizeCapError past Python's int-to-str limit."""
     try:
         return str(value)
     except ValueError as exc:  # str(int) raises only at the limit, a process-wide setting
-        raise SizeCapError(
-            f"result has an integer of more than {sys.get_int_max_str_digits()} digits, "
-            "over Python's integer-to-string limit"
-        ) from exc
+        raise _too_many_digits() from exc
+
+
+def _means_past_digit_limit(params: ModelParams) -> bool:
+    """Whether exact E[X] or E[Y] has a denominator past the int-to-str limit.
+
+    For p = a/b in lowest terms with b >= 2 and n >= 2, E[X] = (n-1)(1-(1-p^2)^m)
+    has reduced denominator b^(2m) / gcd(n-1, b^(2m)) >= b^(2m) / (n-1); E[Y] is
+    the same with n and m swapped. The test b^(2m) / (n-1) >= 10^limit is made
+    as 2m log10(b) >= limit + log10(n-1), after one more log10, so that no size
+    argparse accepts overflows a float.
+    """
+    limit, b = sys.get_int_max_str_digits(), params.p.denominator
+    if limit == 0 or b < 2:
+        return False
+    return any(
+        size >= 2
+        and math.log10(2 * other) + math.log10(math.log10(b))
+        >= math.log10(limit + math.log10(size - 1))
+        for size, other in ((params.n, params.m), (params.m, params.n))
+    )
 
 
 def _frac(value: Fraction) -> str:
@@ -162,6 +187,8 @@ def cmd_pmf(args) -> int:
 def cmd_moments(args) -> int:
     params = _build_params(args)
     mode = Mode.EXACT if args.mode == "exact" else Mode.FLOAT
+    if mode is Mode.EXACT and _means_past_digit_limit(params):
+        raise _too_many_digits()
     summary = moments(params, mode)
     fields = [
         ("mean_x", summary.mean_x),

@@ -27,10 +27,11 @@ over the common denominator b^(n*m) (``MomentTable``), the transform only
 adds and subtracts those integers, and a law keeps the results as integer
 ``counts`` over that ``scale``, with ``.pmf`` a Fraction view built on first
 access. The marginal moments (``_marginal_form``) are integers over the
-same denominator, and exact PGFs are integer dot products with the basis
-u or v. The transform cancels catastrophically in floating point, so there
-is no float pmf: float mode covers PGF point evaluation (``eval_joint_pgf``,
-``eval_marginal_pgf``) and moments (``moment_entry``).
+same denominator, each edge-split conditional sums its terms as one integer
+over a power of b (``_power_sum``), and exact PGFs are integer dot products
+with the basis u or v. The transform cancels catastrophically in floating
+point, so there is no float pmf: float mode covers PGF point evaluation
+(``eval_joint_pgf``, ``eval_marginal_pgf``) and moments (``moment_entry``).
 
 The float joint PGF sums the closed form's triple sum in numpy without
 forming the table (``_eval_joint_float``). Its binomial weights, u(x), v(y)
@@ -192,6 +193,18 @@ def _check_orders(params: ModelParams, k: int, l: int) -> None:
         raise ValueError(f"l must lie in [0, {params.m - 1}], got {l}")
 
 
+def _power_sum(p: Fraction, terms) -> Fraction:
+    """Sum of w * p^i * (1-p)^j over the (w, i, j) terms, as one Fraction.
+
+    With p = a/b, each term is the integer w a^i (b-a)^j over b^(i+j), padded
+    to the largest exponent E = max(i+j), so the sum is one integer over b^E.
+    """
+    terms = list(terms)
+    a, b = p.numerator, p.denominator
+    top = max(i + j for _, i, j in terms)
+    return Fraction(sum(w * a**i * (b - a) ** j * b ** (top - i - j) for w, i, j in terms), b**top)
+
+
 def cond_nonadjacency_given_edge(params: ModelParams, k: int, l: int) -> Fraction:
     """P(tracked pair avoids k marked vertices and l marked objects | edge).
 
@@ -202,22 +215,13 @@ def cond_nonadjacency_given_edge(params: ModelParams, k: int, l: int) -> Fractio
     """
     _check_orders(params, k, l)
     n, m = params.n, params.m
-    p = params.p
-    q = 1 - p
-    total = Fraction(0)
-    for i in range(1, n - k + 1):
-        for j in range(1, m - l + 1):
-            total += (
-                binom(m - 1 - l, j - 1)
-                * binom(n - 1 - k, i - 1)
-                * p ** (j - 1)
-                * q ** (m - j)
-                * q ** ((j - 1) * k)
-                * p ** (i - 1)
-                * q ** (n - i)
-                * q ** ((i - 1) * l)
-            )
-    return total
+    terms = (
+        (binom(m - 1 - l, j - 1) * binom(n - 1 - k, i - 1), i + j - 2,
+         (m - j) + (j - 1) * k + (n - i) + (i - 1) * l)
+        for i in range(1, n - k + 1)
+        for j in range(1, m - l + 1)
+    )
+    return _power_sum(params.p, terms)
 
 
 def cond_nonadjacency_given_nonedge(params: ModelParams, k: int, l: int) -> Fraction:
@@ -228,29 +232,21 @@ def cond_nonadjacency_given_nonedge(params: ModelParams, k: int, l: int) -> Frac
     tracked vertex), so attachment counts split into an outside part (i_o,
     j_o) and a marked part (i_s, j_s). Avoidance constraints between the two
     attached sets overlap on i_s*j_s cross pairs, hence the correction in the
-    last exponent.
+    power of 1-p.
     """
     _check_orders(params, k, l)
     n, m = params.n, params.m
-    p = params.p
-    q = 1 - p
-    total = Fraction(0)
-    for i_s in range(k + 1):
-        for i_o in range(n - k):
-            for j_s in range(l + 1):
-                for j_o in range(m - l):
-                    total += (
-                        binom(m - 1 - l, j_o)
-                        * binom(l, j_s)
-                        * binom(n - 1 - k, i_o)
-                        * binom(k, i_s)
-                        * p ** (j_o + j_s)
-                        * q ** (m - 1 - j_o - j_s)
-                        * p ** (i_o + i_s)
-                        * q ** (n - 1 - i_o - i_s)
-                        * q ** ((j_o + j_s) * k + (i_o + i_s) * l - i_s * j_s)
-                    )
-    return total
+    terms = (
+        (binom(m - 1 - l, j_o) * binom(l, j_s) * binom(n - 1 - k, i_o) * binom(k, i_s),
+         j_o + j_s + i_o + i_s,
+         (m - 1 - j_o - j_s) + (n - 1 - i_o - i_s)
+         + (j_o + j_s) * k + (i_o + i_s) * l - i_s * j_s)
+        for i_s in range(k + 1)
+        for i_o in range(n - k)
+        for j_s in range(l + 1)
+        for j_o in range(m - l)
+    )
+    return _power_sum(params.p, terms)
 
 
 def _closed_form(n: int, m: int, a, c, b, k: int, l: int):
@@ -290,18 +286,19 @@ def moment_entry(params: ModelParams, k: int, l: int, mode: Mode = Mode.EXACT) -
 def moment_table(params: ModelParams) -> MomentTable:
     """Dense table of all falling moments N[k][l], 0 <= k < n, 0 <= l < m.
 
-    Every cell is an integer over den(p)^(n*m).
+    Every cell is an integer over den(p)^(n*m). ``_closed_form``'s inner sum
+    runs over l, so the table is built with n >= m and transposed when m > n,
+    by the duality N_{n,m}[k][l] = N_{m,n}[l][k].
     """
-    n, m = params.n, params.m
+    rows, cols = max(params.n, params.m), min(params.n, params.m)
     a, b = params.p.numerator, params.p.denominator
-    numerators = tuple(
-        tuple(
-            _closed_form(n, m, a, b - a, b, k, l) * b ** ((n - 1 - k) * (m - 1 - l))
-            for l in range(m)
-        )
-        for k in range(n)
-    )
-    return MomentTable(params, b ** (n * m), numerators)
+    tall = [
+        [_closed_form(rows, cols, a, b - a, b, k, l) * b ** ((rows - 1 - k) * (cols - 1 - l))
+         for l in range(cols)]
+        for k in range(rows)
+    ]
+    numerators = tuple(map(tuple, tall if params.n >= params.m else zip(*tall)))
+    return MomentTable(params, b ** (params.n * params.m), numerators)
 
 
 def _sieve(values) -> list:

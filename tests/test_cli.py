@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rigjoint import pgf
+from rigjoint import cli, pgf
 from rigjoint.cli import main
 
 
@@ -239,6 +239,21 @@ class TestMomentsCommand:
         code, out, err = run(capsys, ["moments", "--n", "2000", "--m", "2000", "--p", "1/100"])
         assert code == 3
         assert out == ""
+        assert "4300 digits" in err
+
+    # 10**400 is past the float range, so the bound must not convert sizes to float.
+    @pytest.mark.parametrize(
+        "n,m,p", [(10**5, 10**5, "3/7"), (10**400, 2, "1/2")], ids=["1e5x1e5", "1e400x2"]
+    )
+    def test_past_int_str_limit_exits_3_before_computing(self, capsys, monkeypatch, n, m, p):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("moments was computed although its output cannot be printed")
+
+        monkeypatch.setattr(cli, "moments", must_not_run)
+        code, out, err = run(capsys, ["moments", "--n", str(n), "--m", str(m), "--p", p])
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "4300 digits" in err
 
 

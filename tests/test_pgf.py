@@ -336,16 +336,11 @@ class TestEvalJointPgf:
             (1100, 3, Fraction(1, 8), corners + grid[7::7]),
             (3, 1100, Fraction(1, 8), corners + grid[7::7]),
         ]
-        # Exact F comes from the orientation with n >= m, by the duality
-        # F_{n,m}(x, y) = F_{m,n}(y, x): exact mode takes about a minute at 3x1100.
-        tables = {}
         for n, m, p, xys in cases:
             params = ModelParams(n, m, p)
-            tall = (max(n, m), min(n, m), p)
-            if tall not in tables:
-                tables[tall] = moment_table(ModelParams(*tall))
+            table = moment_table(params)
             for x, y in xys:
-                exact = tables[tall].eval_pgf(x, y) if n >= m else tables[tall].eval_pgf(y, x)
+                exact = table.eval_pgf(x, y)
                 approx = eval_joint_pgf(params, float(x), float(y), Mode.FLOAT)
                 # On [0,1]^2 every term is nonnegative, so the gate is purely
                 # relative; outside it the terms cancel.
@@ -417,7 +412,18 @@ class TestRecombination:
         assert lhs == rhs
         assert rhs == reference.falling_moment(3, 3, Fraction(2, 3), 2, 1)
 
-    @pytest.mark.parametrize("n,m,p", [(4, 3, THIRD), (2, 5, Fraction(3, 4))])
+    @pytest.mark.parametrize(
+        "n,m,p",
+        [
+            (4, 3, THIRD),
+            (2, 5, Fraction(3, 4)),
+            # p = 0 or 1 puts 0**0 into the integer sums.
+            (3, 4, Fraction(0)),
+            (4, 3, Fraction(1)),
+            (1, 5, Fraction(0)),
+            (5, 1, Fraction(1)),
+        ],
+    )
     def test_all_orders(self, n, m, p):
         params = ModelParams(n, m, p)
         for k in range(n):
