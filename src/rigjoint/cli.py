@@ -137,7 +137,43 @@ def _require_exact(args, command: str) -> None:
         raise ValueError(f"{command} requires exact mode; float pmf extraction is unsupported")
 
 
+def _law_cells(counts, scale: int, base: int):
+    """Yield (numerator digits, denominator digits, decimal) of each count / scale.
+
+    ``scale`` is a power of ``base`` = den(p). Once gcd(c, base^j) equals
+    gcd(c, base^(2j)), c holds no more of any prime of ``base`` than base^j
+    does, so that gcd is gcd(c, scale). The exponent doubles from 1 and the
+    last step is the scale itself, so a count with few factors of ``base``
+    costs a few gcds against small powers instead of one against the whole
+    scale. The digits of each distinct denominator are made once per call.
+    The decimal is the correctly rounded int/int division, the same double
+    as ``float(Fraction(c, scale))``.
+    """
+    powers = []
+    power = base
+    while power < scale:
+        powers.append(power)
+        power *= power
+    powers.append(scale)
+    den_digits = {}  # gcd -> digits of scale // gcd
+    for c in counts:
+        g = 0
+        for power in powers:
+            step = math.gcd(c, power)
+            if step == g:
+                break
+            g = step
+        if g not in den_digits:
+            den_digits[g] = _digits(scale // g)
+        yield _digits(c // g), den_digits[g], f"{c / scale:.17g}"
+
+
 def cmd_pmf(args) -> int:
+    """Print the exact joint law and both marginals in lowest terms.
+
+    Rendered straight from each law's integer counts and scale (``_law_cells``);
+    the ``Fraction`` view ``.pmf`` is for library callers.
+    """
     _require_exact(args, "pmf")
     params = _build_params(args)
     cap = _exact_cap()
@@ -146,40 +182,41 @@ def cmd_pmf(args) -> int:
             f"exact pmf capped at n, m <= {cap} (override with {ENV_EXACT_CAP})"
         )
     dist = joint_pmf(params)
-    active = marginal_pmf(params, Side.ACTIVE)
-    passive = marginal_pmf(params, Side.PASSIVE)
+    base = params.p.denominator
+    joint = zip(
+        ((a, b) for a in range(params.n) for b in range(params.m)),
+        _law_cells([c for row in dist.counts for c in row], dist.scale, base),
+    )
+    marginals = [
+        (name, enumerate(_law_cells(law.counts, law.scale, base)))
+        for name, law in (
+            ("active", marginal_pmf(params, Side.ACTIVE)),
+            ("passive", marginal_pmf(params, Side.PASSIVE)),
+        )
+    ]
 
     if args.format == "json":
-        payload = {
-            "params": _params_json(params),
-            "mode": "exact",
-            "result": {
-                "joint": [
-                    {"a": a, "b": b, "prob": _json_frac(dist.pmf[a][b])}
-                    for a in range(params.n)
-                    for b in range(params.m)
-                ],
-                "marginal_active": [
-                    {"degree": a, "prob": _json_frac(v)} for a, v in enumerate(active.pmf)
-                ],
-                "marginal_passive": [
-                    {"degree": b, "prob": _json_frac(v)} for b, v in enumerate(passive.pmf)
-                ],
-            },
+        result = {
+            "joint": [
+                {"a": a, "b": b, "prob": {"num": num, "den": den}}
+                for (a, b), (num, den, _) in joint
+            ]
         }
+        for name, cells in marginals:
+            result[f"marginal_{name}"] = [
+                {"degree": degree, "prob": {"num": num, "den": den}}
+                for degree, (num, den, _) in cells
+            ]
+        payload = {"params": _params_json(params), "mode": "exact", "result": result}
         _emit(json.dumps(payload, indent=2) + "\n", args.output)
         return EXIT_OK
 
     lines = ["a,b,prob_rational,prob_decimal"]
-    for a in range(params.n):
-        for b in range(params.m):
-            v = dist.pmf[a][b]
-            lines.append(f"{a},{b},{_frac(v)},{_dec(v)}")
+    lines += [f"{a},{b},{num}/{den},{dec}" for (a, b), (num, den, dec) in joint]
     lines.append("")
     lines.append("side,degree,prob_rational,prob_decimal")
-    for side_name, marg in (("active", active), ("passive", passive)):
-        for degree, v in enumerate(marg.pmf):
-            lines.append(f"{side_name},{degree},{_frac(v)},{_dec(v)}")
+    for name, cells in marginals:
+        lines += [f"{name},{degree},{num}/{den},{dec}" for degree, (num, den, dec) in cells]
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
@@ -378,10 +415,12 @@ def cmd_scan(args) -> int:
         raise ValueError("--n and --m must be at least 1")
     grid = _parse_grid(args.p_grid)
     mode = Mode.EXACT if args.mode == "exact" else Mode.FLOAT
-    rows = []
-    for p in grid:
-        summary = moments(ModelParams(args.n, args.m, p), mode)
-        rows.append((p, summary))
+    points = [ModelParams(args.n, args.m, p) for p in grid]
+    # Exact JSON prints E[X] and E[Y] as fractions: refuse before any work what
+    # could not be printed. CSV prints only decimals and has no such bound.
+    if mode is Mode.EXACT and args.format == "json" and any(map(_means_past_digit_limit, points)):
+        raise _too_many_digits()
+    rows = [(params.p, moments(params, mode)) for params in points]
 
     if args.format == "json":
         result = []

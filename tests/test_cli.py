@@ -4,9 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rigjoint import cli, pgf
-from rigjoint.cli import main
+from rigjoint.cli import _law_cells, main
 
 
 def run(capsys, argv):
@@ -101,6 +103,50 @@ class TestPmfCommand:
         assert "0,0,7/16,0.4375" in target.read_text()
 
 
+# Bases den(p) of the law's scale: 1 (p = 0 or 1), primes, prime powers and
+# composites whose primes a count can hold in different amounts.
+LAW_BASES = [1, 2, 6, 7, 12, 30, 2**5 * 3**3]
+
+
+def fraction_cells(counts, scale):
+    fractions = [Fraction(c, scale) for c in counts]
+    return [(str(f.numerator), str(f.denominator), f"{float(f):.17g}") for f in fractions]
+
+
+class TestLawCells:
+    @pytest.mark.parametrize("exponent", [0, 1, 2, 5, 17])
+    @pytest.mark.parametrize("base", LAW_BASES)
+    def test_matches_fraction(self, base, exponent):
+        scale = base**exponent
+        counts = [0, 1, scale, scale - 1 or 1]
+        counts += [r * base**j for j in range(exponent + 1) for r in (1, 5, 7, 11, 13, 35)]
+        # more of one prime of a composite base than the scale holds
+        for prime in (q for q in (2, 3, 5) if base % q == 0):
+            share = exponent * next(v for v in range(1, 8) if base % prime ** (v + 1))
+            counts += [prime ** (share + extra) for extra in (1, 2, 9)]
+        assert list(_law_cells(counts, scale, base)) == fraction_cells(counts, scale)
+
+    def test_reduces_past_the_scales_share_of_a_prime(self):
+        # 4/6: doubling the exponent to 6^2 would wrongly cancel 2^2
+        assert list(_law_cells([4, 9], 6, 6)) == [
+            ("2", "3", "0.66666666666666663"),
+            ("3", "2", "1.5"),
+        ]
+
+    @given(
+        base=st.sampled_from(LAW_BASES),
+        exponent=st.integers(0, 60),
+        data=st.data(),
+    )
+    def test_matches_fraction_on_random_counts(self, base, exponent, data):
+        scale = base**exponent
+        counts = [
+            data.draw(st.integers(0, scale)) * base ** data.draw(st.integers(0, exponent))
+            for _ in range(6)
+        ]
+        assert list(_law_cells(counts, scale, base)) == fraction_cells(counts, scale)
+
+
 class TestInvalidInputs:
     @pytest.mark.parametrize(
         "argv",
@@ -173,6 +219,26 @@ STDOUT_DIGESTS = [
         ["simulate", "--n", "10", "--m", "10", "--p", "1/5", "--trials", "20000", "--seed", "3"],
         "1539f9be7995b8d18513ac53d9f20cf414c8b43c13be0f305e23539d8c0f7f69",
         id="simulate-csv",
+    ),
+    pytest.param(
+        ["pmf", "--n", "12", "--m", "9", "--p", "5/12"],
+        "bb6acb414ee836473a8f01a5fe24ad8bb53b5621b260bcfaba82024638b34eff",
+        id="pmf-composite-den",
+    ),
+    pytest.param(
+        ["pmf", "--n", "7", "--m", "3", "--p", "0"],
+        "a530bad752d6439b23e89543b3e9ea535810377ed08671ce14df5e87b896e21b",
+        id="pmf-p-zero",
+    ),
+    pytest.param(
+        ["pmf", "--n", "3", "--m", "7", "--p", "1"],
+        "cedc3dea9d192a39e357ec40a4e9bbcba3faba717814044b908a7c44de3df42a",
+        id="pmf-p-one",
+    ),
+    pytest.param(
+        ["pmf", "--n", "40", "--m", "40", "--p", "1/2"],
+        "3fa5b8c2f22dd3a7b4c6d991a7f732e2fb8d6c3ffd58b0a0cb29c40a61db789d",
+        id="pmf-power-of-two-den",
     ),
 ]
 
@@ -432,6 +498,27 @@ class TestScanCommand:
         assert code == 3
         assert out == ""
         assert "100000001 points" in err
+
+    # Exact JSON prints E[X] and E[Y] as fractions; the second grid's first point
+    # (p = 0) is printable, its second is not.
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            "1234567/10000000000:1234567/10000000000:1",
+            "0:1/10000000000:1/10000000000",
+        ],
+        ids=["one-point", "last-point"],
+    )
+    def test_json_past_int_str_limit_exits_3_before_computing(self, capsys, monkeypatch, grid):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("moments was computed although its output cannot be printed")
+
+        monkeypatch.setattr(cli, "moments", must_not_run)
+        argv = ["scan", "--n", "10000", "--m", "10000", "--p-grid", grid, "--format", "json"]
+        code, out, err = run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "4300 digits" in err
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["scan", "--n", "3", "--m", "4", "--p-grid", "0:1:0.2"]
