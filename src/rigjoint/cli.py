@@ -416,9 +416,10 @@ def cmd_scan(args) -> int:
     grid = _parse_grid(args.p_grid)
     mode = Mode.EXACT if args.mode == "exact" else Mode.FLOAT
     points = [ModelParams(args.n, args.m, p) for p in grid]
-    # Exact JSON prints E[X] and E[Y] as fractions: refuse before any work what
-    # could not be printed. CSV prints only decimals and has no such bound.
-    if mode is Mode.EXACT and args.format == "json" and any(map(_means_past_digit_limit, points)):
+    # Refuse before any work what exact `moments` refuses: a grid point whose
+    # E[X] or E[Y] could not be printed as a fraction. CSV prints only
+    # decimals, but the exact integers behind them are just as large.
+    if mode is Mode.EXACT and any(map(_means_past_digit_limit, points)):
         raise _too_many_digits()
     rows = [(params.p, moments(params, mode)) for params in points]
 

@@ -23,10 +23,13 @@ signed binomial transform along each axis, i.e. inclusion-exclusion
 is F(x, y) = u(x)^T N v(y) with u_k = x^(n-1-k) (1-x)^k and v_l likewise in y.
 
 Exact mode runs in integers. With p = a/b, every table cell is an integer
-over the common denominator b^(n*m) (``MomentTable``), the transform only
-adds and subtracts those integers, and a law keeps the results as integer
-``counts`` over that ``scale``, with ``.pmf`` a Fraction view built on first
-access. The marginal moments (``_marginal_form``) are integers over the
+over the common denominator b^(n*m) (``MomentTable``). The table is built a
+column at a time: along a column only k moves, so the closed form's powers in
+k are running products, each term times a fixed step per cell instead of a
+fresh big-integer power; ``moment_entry`` is a run of one cell. The transform
+only adds and subtracts the table's integers, and a law keeps the results as
+integer ``counts`` over that ``scale``, with ``.pmf`` a Fraction view built on
+first access. The marginal moments (``_marginal_form``) are integers over the
 same denominator, each edge-split conditional sums its terms as one integer
 over a power of b (``_power_sum``), and exact PGFs are integer dot products
 with the basis u or v. The transform cancels catastrophically in floating
@@ -249,27 +252,37 @@ def cond_nonadjacency_given_nonedge(params: ModelParams, k: int, l: int) -> Frac
     return _power_sum(params.p, terms)
 
 
-def _closed_form(n: int, m: int, a, c, b, k: int, l: int):
-    """Closed product form of N[k][l] for p = a/b and q = c/b.
+def _closed_form(n: int, m: int, a, c, b, l: int, ks: range) -> list:
+    """Closed product form of N[k][l] for p = a/b and q = c/b, for k in ``ks``.
 
-    Returns the numerator over b^(n*m - (n-1-k)*(m-1-l)). Exact mode passes
-    integers with c = b - a; float mode passes (p, 1-p, 1.0), so the result is
-    N[k][l] itself.
+    Returns one numerator per k, N[k][l]'s over b^(n*m - (n-1-k)*(m-1-l)).
+    Exact mode passes integers with c = b - a; float mode passes
+    (p, 1-p, 1.0), so each result is N[k][l] itself. Along the column only k
+    moves: the weighted powers w_i base_i^k and the leading term
+    a c^(k+l) b^(kl) are formed as written at ``ks.start`` and then carried
+    as running products, times base_i and c b^l per step in k.
     """
-    inner = sum(
-        binom(l, i) * a**i * c ** (l - i) * (c ** (i + 1) * b ** (l - i) + a * c**l) ** k
-        for i in range(l + 1)
-    )
-    bracket = a * c ** (k + l) * b ** (k * l) + c * inner  # over b^((k+1)(l+1))
-    per_object = c * b**k + a * c**k  # one object misses all k marked vertices
-    per_vertex = c * b**l + a * c**l
-    return (
-        binom(n - 1, k)
-        * binom(m - 1, l)
-        * per_object ** (m - 1 - l)
-        * per_vertex ** (n - 1 - k)
-        * bracket
-    )
+    k = ks.start
+    bases = [c ** (i + 1) * b ** (l - i) + a * c**l for i in range(l + 1)]
+    powers = [binom(l, i) * a**i * c ** (l - i) * base**k for i, base in enumerate(bases)]
+    lead = a * c ** (k + l) * b ** (k * l)
+    lead_step = c * b**l
+    per_vertex = c * b**l + a * c**l  # one vertex misses all l marked objects
+    column = []
+    for k in ks:
+        if k > ks.start:
+            powers = [w * base for w, base in zip(powers, bases)]
+            lead *= lead_step
+        bracket = lead + c * sum(powers)  # over b^((k+1)(l+1))
+        per_object = c * b**k + a * c**k  # one object misses all k marked vertices
+        column.append(
+            binom(n - 1, k)
+            * binom(m - 1, l)
+            * per_object ** (m - 1 - l)
+            * per_vertex ** (n - 1 - k)
+            * bracket
+        )
+    return column
 
 
 def moment_entry(params: ModelParams, k: int, l: int, mode: Mode = Mode.EXACT) -> Scalar:
@@ -278,9 +291,10 @@ def moment_entry(params: ModelParams, k: int, l: int, mode: Mode = Mode.EXACT) -
     n, m = params.n, params.m
     if mode is Mode.FLOAT:
         p = float(params.p)
-        return _closed_form(n, m, p, 1.0 - p, 1.0, k, l)
+        return _closed_form(n, m, p, 1.0 - p, 1.0, l, range(k, k + 1))[0]
     a, b = params.p.numerator, params.p.denominator
-    return Fraction(_closed_form(n, m, a, b - a, b, k, l), b ** (n * m - (n - 1 - k) * (m - 1 - l)))
+    numerator = _closed_form(n, m, a, b - a, b, l, range(k, k + 1))[0]
+    return Fraction(numerator, b ** (n * m - (n - 1 - k) * (m - 1 - l)))
 
 
 def moment_table(params: ModelParams) -> MomentTable:
@@ -288,16 +302,18 @@ def moment_table(params: ModelParams) -> MomentTable:
 
     Every cell is an integer over den(p)^(n*m). ``_closed_form``'s inner sum
     runs over l, so the table is built with n >= m and transposed when m > n,
-    by the duality N_{n,m}[k][l] = N_{m,n}[l][k].
+    by the duality N_{n,m}[k][l] = N_{m,n}[l][k]. It is built a column (one l,
+    every k) per ``_closed_form`` call, so the powers in k are running
+    products rather than a fresh big-integer power per cell.
     """
     rows, cols = max(params.n, params.m), min(params.n, params.m)
     a, b = params.p.numerator, params.p.denominator
-    tall = [
-        [_closed_form(rows, cols, a, b - a, b, k, l) * b ** ((rows - 1 - k) * (cols - 1 - l))
-         for l in range(cols)]
-        for k in range(rows)
+    columns = [
+        [e * b ** ((rows - 1 - k) * (cols - 1 - l))
+         for k, e in enumerate(_closed_form(rows, cols, a, b - a, b, l, range(rows)))]
+        for l in range(cols)
     ]
-    numerators = tuple(map(tuple, tall if params.n >= params.m else zip(*tall)))
+    numerators = tuple(map(tuple, columns if params.n < params.m else zip(*columns)))
     return MomentTable(params, b ** (params.n * params.m), numerators)
 
 

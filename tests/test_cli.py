@@ -1,6 +1,8 @@
 import hashlib
+import inspect
 import json
 import math
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -426,9 +428,9 @@ class TestVerifyCommand:
     def test_wrong_closed_form_fails_instead_of_usage_error(self, capsys, monkeypatch):
         original = pgf._closed_form
 
-        def per_vertex_exponent_n_minus_k(n, m, a, c, b, k, l):
+        def per_vertex_exponent_n_minus_k(n, m, a, c, b, l, ks):
             # _closed_form with the per-vertex exponent n-1-k changed to n-k
-            return original(n, m, a, c, b, k, l) * (c * b**l + a * c**l)
+            return [e * (c * b**l + a * c**l) for e in original(n, m, a, c, b, l, ks)]
 
         monkeypatch.setattr(pgf, "_closed_form", per_vertex_exponent_n_minus_k)
         argv = ["verify", "--n", "4", "--m", "5", "--p", "2/5"]
@@ -441,6 +443,32 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert doc["result"] == "FAIL"
         assert doc["checks"][0] == {"name": "enumeration_vs_formula", "status": "FAIL"}
+
+    def test_wrong_running_product_in_k_fails(self, capsys, monkeypatch):
+        # _closed_form with the leading term's step in k changed from c b^l to
+        # c b^(l+1). The first k of a run is formed as written, so single entries
+        # (moment_entry) stay right and only the table's later rows go wrong.
+        step, wrong_step = "lead_step = c * b**l\n", "lead_step = c * b ** (l + 1)\n"
+        source = textwrap.dedent(inspect.getsource(pgf._closed_form))
+        assert source.count(step) == 1
+        scope = dict(vars(pgf))
+        exec(source.replace(step, wrong_step), scope)
+        monkeypatch.setattr(pgf, "_closed_form", scope["_closed_form"])
+        argv = ["verify", "--n", "4", "--m", "5", "--p", "2/5"]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out.splitlines() == [
+            "check,status",
+            "enumeration_vs_formula,FAIL",
+            "edge_split_recombination,PASS",
+            "pgf_transform_identity,FAIL",
+        ]
+        assert err.splitlines()[0] == (
+            "enumeration_vs_formula: not a valid falling-moment table (negative probability)"
+        )
+        code, out, _ = run(capsys, argv + ["--format", "json"])
+        assert code == 1
+        assert json.loads(out)["result"] == "FAIL"
 
 
     def test_failure_names_first_mismatch(self, capsys, monkeypatch):
@@ -499,9 +527,9 @@ class TestScanCommand:
         assert out == ""
         assert "100000001 points" in err
 
-    # Exact JSON prints E[X] and E[Y] as fractions; the second grid's first point
-    # (p = 0) is printable, its second is not.
-    @pytest.mark.parametrize(
+    # Exact E[X] and E[Y] have fractions past the int-to-str limit; the second
+    # grid's first point (p = 0) is within it, its second is not.
+    PAST_LIMIT_GRIDS = pytest.mark.parametrize(
         "grid",
         [
             "1234567/10000000000:1234567/10000000000:1",
@@ -509,16 +537,32 @@ class TestScanCommand:
         ],
         ids=["one-point", "last-point"],
     )
-    def test_json_past_int_str_limit_exits_3_before_computing(self, capsys, monkeypatch, grid):
+
+    @staticmethod
+    def _refused_before_computing(capsys, monkeypatch, argv):
         def must_not_run(*args, **kwargs):
-            raise AssertionError("moments was computed although its output cannot be printed")
+            raise AssertionError("moments was computed although exact mode refuses it")
 
         monkeypatch.setattr(cli, "moments", must_not_run)
-        argv = ["scan", "--n", "10000", "--m", "10000", "--p-grid", grid, "--format", "json"]
         code, out, err = run(capsys, argv)
         assert code == 3
         assert out == ""
         assert len(err.splitlines()) == 1 and "4300 digits" in err
+
+    @PAST_LIMIT_GRIDS
+    def test_json_past_int_str_limit_exits_3_before_computing(self, capsys, monkeypatch, grid):
+        argv = ["scan", "--n", "10000", "--m", "10000", "--p-grid", grid, "--format", "json"]
+        self._refused_before_computing(capsys, monkeypatch, argv)
+
+    # CSV prints only decimals, but is bounded like exact `moments` on the same
+    # (n, m, p), which exits 3 rather than build integers that large.
+    @PAST_LIMIT_GRIDS
+    def test_csv_past_int_str_limit_exits_3_before_computing(self, capsys, monkeypatch, grid):
+        argv = ["scan", "--n", "10000", "--m", "10000", "--p-grid", grid]
+        self._refused_before_computing(capsys, monkeypatch, argv)
+        p = grid.split(":")[1]
+        moments_argv = ["moments", "--n", "10000", "--m", "10000", "--p", p]
+        self._refused_before_computing(capsys, monkeypatch, moments_argv)
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["scan", "--n", "3", "--m", "4", "--p-grid", "0:1:0.2"]

@@ -142,6 +142,29 @@ class TestMomentEntry:
             assert moment_entry(params, 1, 0) == (n - 1) * (1 - p * p) ** m
             assert moment_entry(params, 0, 1) == (m - 1) * (1 - p * p) ** n
 
+    # float.hex() of float N[k][l] at (1,0), (0,1), (2,0), (0,2), (1,1), pinned
+    # from the one-entry expressions as they stood before the table moved to
+    # running products in k: a single entry must keep every bit.
+    @pytest.mark.parametrize(
+        "n,m,p,expected",
+        [
+            (50, 60, Fraction(1, 50),
+             ["0x1.7eb3c0cebe115p+5", "0x1.cea6e467e1c3ap+5", "0x1.1859c07e77c44p+10",
+              "0x1.9b22ba572f326p+10", "0x1.59d3aef4cac30p+11"]),
+            (500, 500, Fraction(1, 5),
+             ["0x1.6e16d710f0b6dp-21", "0x1.6e16d710f0b6dp-21", "0x1.03cc9847141a8p-37",
+              "0x1.03cc9847141a9p-37", "0x1.0c3fb49fa2cdep-41"]),
+            (2000, 2000, HALF,
+             ["0x1.da6f27aea82e6p-820", "0x1.da6f27aea82e6p-820", "0x0.0p+0",
+              "0x0.0p+0", "0x0.0p+0"]),
+        ],
+        ids=["50x60", "500x500", "2000x2000"],
+    )
+    def test_float_entries_keep_their_bits(self, n, m, p, expected):
+        params = ModelParams(n, m, p)
+        orders = [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
+        assert [moment_entry(params, k, l, Mode.FLOAT).hex() for k, l in orders] == expected
+
 
 class TestMomentTable:
     def test_2x2_pinned(self):
@@ -170,6 +193,20 @@ class TestMomentTable:
             table = moment_table(ModelParams(n, m, p))
             assert table.entry(0, 0) == 1
             assert all(table.entry(k, l) >= 0 for k in range(n) for l in range(m))
+
+    # The table builds a column per call from running products in k, while
+    # moment_entry forms its one cell as written: two paths, one rational.
+    @pytest.mark.parametrize(
+        "p", [Fraction(0), Fraction(1), HALF, Fraction(3, 7), Fraction(5, 12)], ids=str
+    )
+    def test_every_cell_matches_moment_entry(self, p):
+        shapes = [(n, m) for n in range(1, 11) for m in range(1, 11)] + [(40, 17), (17, 40)]
+        for n, m in shapes:
+            params = ModelParams(n, m, p)
+            table = moment_table(params)
+            for k in range(n):
+                for l in range(m):
+                    assert table.entry(k, l) == moment_entry(params, k, l), (n, m, k, l)
 
 
 class TestSieveInvert:
