@@ -55,11 +55,14 @@ def _mix64(z: int) -> int:
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_MIX1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """Split-mix finalizer on a uint64 array, in place, with one scratch array; returns ``z``."""
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    z *= np.uint64(_MIX1)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= np.uint64(_MIX2)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
 
 
 def derive_trial_seed(seed: int, index: int) -> int:
@@ -81,7 +84,10 @@ def _trial_seeds(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def _edges_present(counters: np.ndarray, threshold: int) -> np.ndarray:
-    """Edge indicators for an array of counters trial_seed + (edge_index + 1)*gamma."""
+    """Edge indicators for an array of counters trial_seed + (edge_index + 1)*gamma.
+
+    The counters are mixed in place, so the array no longer holds them afterwards.
+    """
     if threshold > _MASK:
         return np.ones(counters.shape, dtype=bool)
     return _mix64_np(counters) < np.uint64(threshold)
@@ -125,20 +131,21 @@ def _degree_batch(params: ModelParams, seed: int, start: int, count: int) -> tup
     row = np.arange(n, dtype=np.uint64) * np.uint64(m) * gamma
     col = np.arange(1, m + 1, dtype=np.uint64) * gamma
 
-    def degree(line, across):
-        # line[k, t] is the counter of cell k of trial t's tracked row or
-        # column; across[r] steps from any cell to the cell r+1 places along
+    def degree(cells, across):
+        # cells[k] + seeds[t] is the counter of cell k of trial t's tracked row
+        # or column; across[r] steps from any cell to the cell r+1 places along
         # the line crossing it. Position r+1 is a neighbour in trial t iff
         # some tracked cell and its crossing cell r+1 are both edges.
-        tracked = np.flatnonzero(_edges_present(line, threshold))
-        crossing = _edges_present(across[:, None] + line.ravel()[tracked][None, :], threshold)
-        pos, hit = np.divmod(np.flatnonzero(crossing), len(tracked))
+        present = _edges_present(cells[:, None] + seeds[None, :], threshold)
+        cell, trial = np.divmod(np.flatnonzero(present), count)
+        crossing = _edges_present(across[:, None] + (cells[cell] + seeds[trial])[None, :], threshold)
+        pos, hit = np.divmod(np.flatnonzero(crossing), len(trial))
         marks = np.zeros((len(across), count), dtype=bool)
-        marks.ravel()[pos * count + tracked[hit] % count] = True
+        marks.ravel()[pos * count + trial[hit]] = True
         return np.count_nonzero(marks, axis=0)
 
-    x = degree(col[:, None] + seeds[None, :], row[1:])
-    y = degree((row + col[0])[:, None] + seeds[None, :], col[1:] - col[0])
+    x = degree(col, row[1:])
+    y = degree(row + col[0], col[1:] - col[0])
     return x, y
 
 

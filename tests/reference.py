@@ -2,13 +2,23 @@
 
 Everything here enumerates all 2^(n*m) bipartite graphs in plain Python with
 exact Fraction weights, except the two ``pgf_from_*`` helpers, which evaluate
-a given table term by term, and the scalar sampler at the end, which draws
-one graph edge by edge. No closed forms, no sieve, no numpy: these are the
-oracles the library is checked against, so they must stay dumb.
+a given table term by term, the scalar sampler, which draws one graph edge by
+edge, and ``joint_pgf_float_full`` at the end. No closed forms, no sieve, no
+numpy elsewhere: these are the oracles the library is checked against, so
+they must stay dumb.
+
+``joint_pgf_float_full`` is the float joint PGF summed over every (k, l, i)
+term, with no window. The library's windowed sum is checked against it. It
+uses the library's binomial weights and block size, so at points where the
+library cuts nothing (x or y outside [0, 1]) the two agree bit for bit.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
+
+from rigjoint.pgf import _L_BLOCK, _binomial_weights
 
 
 def all_graphs(n, m):
@@ -137,3 +147,38 @@ def projection_edge_counts(rows, n, m):
     active = sum(1 for i in range(n) for i2 in range(i + 1, n) if rows[i] & rows[i2])
     passive = sum(1 for j in range(m) for j2 in range(j + 1, m) if cols[j] & cols[j2])
     return active, passive
+
+
+def joint_pgf_float_full(params, x, y):
+    """Float F(x, y): the closed form's triple sum over every k, l and i.
+
+    F = sum_l v_l sum_k g[k,l] (p q^(k+l) + q sum_i w[l,i] base[l,i]^k), with
+    g[k,l] = u_k per_object[k]^(m-1-l) per_vertex[l]^(n-1-k), evaluated by
+    Horner's rule in k over blocks of l, with l on the shorter side.
+    """
+    n, m = params.n, params.m
+    if m > n:
+        n, m, x, y = m, n, y, x
+    p = float(params.p)
+    q = 1.0 - p
+    u = _binomial_weights(x, n - 1, np.arange(n))
+    v = _binomial_weights(y, m - 1, np.arange(m))
+    u = u[: np.flatnonzero(u)[-1] + 1]
+    v = v[: np.flatnonzero(v)[-1] + 1]
+    k = np.arange(len(u))
+    q_pow = q**k
+    per_object = 1.0 - p + p * q_pow
+    total = 0.0
+    for start in range(0, len(v), _L_BLOCK):
+        l = np.arange(start, min(start + _L_BLOCK, len(v)))
+        per_vertex = 1.0 - p + p * q**l
+        g = u[:, None] * per_object[:, None] ** (m - 1 - l) * per_vertex ** (n - 1 - k)[:, None]
+        i = np.arange(l[-1] + 1)
+        base = q ** (i + 1) + p * q**l[:, None]
+        acc = np.repeat(g[-1][:, None], len(i), axis=1)
+        for row in g[-2::-1]:
+            acc *= base
+            acc += row[:, None]
+        inner = np.sum(_binomial_weights(q, l[:, None], i) * acc, axis=1)
+        total += v[l] @ (p * q**l * (q_pow @ g) + q * inner)
+    return float(total)

@@ -219,7 +219,7 @@ def test_criterion_11_performance():
     value = eval_joint_pgf(big, 0.97, 0.5, Mode.FLOAT)
     summary = moments(big, Mode.FLOAT)
     float_elapsed = time.perf_counter() - start
-    ok = ok and value >= 0 and summary.mean_x > 0 and float_elapsed < 1
+    ok = ok and value >= 0 and summary.mean_x > 0 and float_elapsed < 0.3
 
     start = time.perf_counter()
     emp = empirical_joint(ModelParams(50, 50, Fraction(1, 20)), 40_000, seed=11)
@@ -235,7 +235,7 @@ def test_criterion_11_performance():
         11,
         "performance envelopes",
         ok,
-        f"exact 40x40 pmf {exact_elapsed:.2f}s < 0.5s; float 500x500 {float_elapsed:.2f}s < 1s; "
+        f"exact 40x40 pmf {exact_elapsed:.2f}s < 0.5s; float 500x500 {float_elapsed:.2f}s < 0.3s; "
         f"Monte Carlo 50x50 40000 trials {sample_elapsed:.2f}s < 1s; "
         f"enumeration 11x2, 2x11, 1x22 {enumeration_elapsed:.3f}s < 0.25s",
     )

@@ -368,7 +368,6 @@ class TestEvalJointPgf:
             (7, 5, Fraction(1), points + outside),
             # Binomial(l, p) weights spread out: the accuracy gate on [0,1]^2.
             (40, 40, HALF, grid),
-            (40, 40, Fraction(3, 7), grid),
             # Past n = 1030, where C(n-1, k) no longer fits a float.
             (1100, 3, Fraction(1, 8), corners + grid[7::7]),
             (3, 1100, Fraction(1, 8), corners + grid[7::7]),
@@ -383,6 +382,58 @@ class TestEvalJointPgf:
                 # relative; outside it the terms cancel.
                 inside = 0 <= x <= 1 and 0 <= y <= 1
                 assert approx == pytest.approx(float(exact), rel=1e-9, abs=0 if inside else 1e-12)
+
+    # On [0,1]^2 the float joint PGF sums only a window of its (k, l, i) terms,
+    # dropping at most 2^-60 of F; reference.joint_pgf_float_full sums them all.
+    # 60x60 runs at one p: its exact table takes 0.4 s at p=3/7 and 1.6 s at
+    # p=1/100 on one core.
+    @pytest.mark.parametrize(
+        "n, p",
+        [(40, Fraction(1, 100)), (40, Fraction(3, 7)), (40, Fraction(9, 10)), (60, Fraction(3, 7))],
+    )
+    def test_float_window_tracks_exact(self, n, p):
+        params = ModelParams(n, n, p)
+        table = moment_table(params)
+        ticks = [Fraction(i, 4) for i in range(5)]
+        for x in ticks:
+            for y in ticks:
+                approx = eval_joint_pgf(params, float(x), float(y), Mode.FLOAT)
+                assert approx == pytest.approx(float(table.eval_pgf(x, y)), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "n, x, y", [(500, 0.2, 0.95), (500, 0.65, 0.8), (500, 0.95, 0.2), (700, 0.2, 0.95)]
+    )
+    def test_float_window_tracks_full_sum(self, n, x, y):
+        params = ModelParams(n, n, Fraction(1, 100))
+        full = reference.joint_pgf_float_full(params, x, y)
+        assert eval_joint_pgf(params, x, y, Mode.FLOAT) == pytest.approx(full, rel=1e-13, abs=0)
+
+    def test_float_off_square_is_the_full_sum(self):
+        points = [(1.5, -0.5), (-0.5, 1.75), (0.5, 1.25), (-0.25, 0.5), (2.0, 0.9), (0.3, -1.0)]
+        for n, m, p in [(40, 40, Fraction(3, 7)), (9, 14, Fraction(3, 10)),
+                        (14, 9, Fraction(3, 10)), (25, 70, Fraction(1, 100))]:
+            params = ModelParams(n, m, p)
+            for x, y in points:
+                assert eval_joint_pgf(params, x, y, Mode.FLOAT) == reference.joint_pgf_float_full(
+                    params, x, y
+                )
+
+    def test_float_window_edge_cases(self):
+        edges = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0),
+                 (0.0, 0.3), (0.3, 0.0), (1.0, 0.3), (0.3, 1.0)]
+        for p in [Fraction(0), Fraction(1), Fraction(1, 100), Fraction(3, 7)]:
+            for n, m in [(60, 45), (45, 60)]:
+                params = ModelParams(n, m, p)
+                for x, y in edges:
+                    full = reference.joint_pgf_float_full(params, x, y)
+                    approx = eval_joint_pgf(params, x, y, Mode.FLOAT)
+                    assert approx == pytest.approx(full, rel=1e-13, abs=0)
+        # Jensen's bound x^E[X] y^E[Y] underflows here (E[X] = E[Y] is about
+        # 172, and 1e-3^172 is below the smallest double) although F is about
+        # 7.5e-17, so nothing is cut and the sum is the full one.
+        params = ModelParams(200, 200, Fraction(1, 10))
+        value = eval_joint_pgf(params, 1e-3, 0.9, Mode.FLOAT)
+        assert value > 0 and value == reference.joint_pgf_float_full(params, 1e-3, 0.9)
 
     def test_exact_mode_rejects_floats(self):
         with pytest.raises(TypeError):
