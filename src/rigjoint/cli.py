@@ -14,7 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .bipartite import ENUMERATION_CAP, empirical_joint, exhaustive_joint
+from .bipartite import ENUMERATION_CAP, empirical_joint, exhaustive_joint, sample_words
 from .exact import Mode, SizeCapError, parse_probability
 from .pgf import (
     ModelParams,
@@ -39,6 +39,12 @@ MAX_GRID_POINTS = 10_000
 
 # Most n*m cells that simulate tallies and prints.
 MAX_SIMULATE_CELLS = 1_000_000
+
+# Most words simulate may draw: trials times bipartite.sample_words, the
+# expected n + m + 2p*n*m per trial. On 2 vCPUs the sampler drew 36-120 M
+# words/s (slowest at 1000x1000 p=9/10, fastest at 10x10 p=1/5), so an
+# accepted run samples for at most about 30 s.
+MAX_SIMULATE_WORDS = 10**9
 
 # Fixed rational probes at which verify compares the joint PGF with the
 # enumerated pmf's polynomial.
@@ -263,6 +269,11 @@ def cmd_simulate(args) -> int:
         )
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
+    words = args.trials * sample_words(params)
+    if words > MAX_SIMULATE_WORDS:
+        raise SizeCapError(
+            f"simulate would draw about {words:.3g} words; capped at {MAX_SIMULATE_WORDS:.0e}"
+        )
     emp = empirical_joint(params, args.trials, args.seed)
 
     cap = _exact_cap()

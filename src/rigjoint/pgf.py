@@ -45,7 +45,8 @@ at once; and the duality F_{n,m}(x, y) = F_{m,n}(y, x) puts the quadratic
 and the sum runs only over a window of k, l and i: F = sum u_k v_l pi(k, l)
 with u and v binomial laws and 0 <= pi <= 1, so the mass each cut drops
 bounds its error, and each cut drops at most _CUT_TOLERANCE / 3 = 2^-60 / 3
-times Jensen's lower bound F >= x^E[X] y^E[Y]. The cost is then the window's
+times a lower bound on F: the larger of Jensen's x^E[X] y^E[Y] and
+(1-p)^(n+m-1) <= P(X=0, Y=0). The cost is then the window's
 size, about the product of the three tails' widths, instead of
 max(n,m) min(n,m)^2 / 2 multiply-adds, and the result agrees with exact mode
 to a relative 1e-9 (1e-12 at 40x40 and 60x60). Outside [0,1]^2 the terms
@@ -425,14 +426,18 @@ def _eval_joint_float(params: ModelParams, x: float, y: float) -> float:
     at most the u mass outside its window, the l cut the v mass outside its
     window, and the i cut at most the Binomial(l, p) mass above I, which grows
     with l and is taken at l1-1. Each cut drops at most _CUT_TOLERANCE / 3
-    times Jensen's lower bound F >= x^E[X] y^E[Y], with
-    E[X] = (n-1)(1-(1-p^2)^m), so the result moves by at most _CUT_TOLERANCE
-    relative (up to the float rounding of the tail sums). Then the cost is the
-    window's size, not the max(n,m) min(n,m)^2 / 2 multiply-adds of the full
-    sum. Nothing is cut but exact zeros at the top of u and v, and the full
-    sum runs, off the square, where the terms alternate in sign and can
-    cancel, and where the tolerance times the bound is below the smallest
-    normal double, where subnormal weights would make the tail sums inexact.
+    times the larger of two lower bounds on F: Jensen's x^E[X] y^E[Y], with
+    E[X] = (n-1)(1-(1-p^2)^m), and P(X=0, Y=0) >= (1-p)^(n+m-1), the chance
+    that neither the tracked vertex nor the tracked object has an edge. The
+    second holds on all of [0,1]^2 and keeps the window where the first is 0
+    (x = 0 or y = 0) or underflows. So the result moves by at most
+    _CUT_TOLERANCE relative (up to the float rounding of the tail sums). Then
+    the cost is the window's size, not the max(n,m) min(n,m)^2 / 2
+    multiply-adds of the full sum. Nothing is cut but exact zeros at the top
+    of u and v, and the full sum runs, off the square, where the terms
+    alternate in sign and can cancel, and where the tolerance times the bound
+    is below the smallest normal double, where subnormal weights would make
+    the tail sums inexact.
     """
     n, m = params.n, params.m
     if m > n:
@@ -444,7 +449,8 @@ def _eval_joint_float(params: ModelParams, x: float, y: float) -> float:
     budget = 0.0
     if 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0:
         s = 1.0 - p * p
-        bound = x ** ((n - 1) * (1.0 - s**m)) * y ** ((m - 1) * (1.0 - s**n))
+        jensen = x ** ((n - 1) * (1.0 - s**m)) * y ** ((m - 1) * (1.0 - s**n))
+        bound = max(jensen, q ** (n + m - 1))
         budget = _CUT_TOLERANCE / 3 * bound
     if budget >= sys.float_info.min:
         k0, k1 = _window(u, budget)

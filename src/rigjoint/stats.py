@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bipartite import EmpiricalJointDistribution, _adjacency_batch
+from .bipartite import EmpiricalJointDistribution, _adjacency_batch, batch_trials
 from .exact import Mode, Scalar, zero
 from .pgf import (
     JointDegreeDistribution,
@@ -152,39 +152,64 @@ def chi_square(
     return statistic, len(kept) - 1
 
 
-def _linked_pairs(gram: np.ndarray) -> np.ndarray:
-    """Per batch entry, the pairs i < i' with gram[i, i'] > 0.
+def _words(width: int) -> int:
+    """uint64 words that hold a line of ``width`` bits, 52 to a word."""
+    return -(-width // 52)
 
-    The Gram matrix is symmetric, so the positive entries off its diagonal
-    count each linked pair twice.
+
+def _packed_lines(adj: np.ndarray) -> np.ndarray:
+    """Lines along the last axis of 0/1 matrices (count, lines, width), packed.
+
+    Returns uint64 words (lines, words, count): bit j of a line is bit j % 52
+    of word j // 52. One float64 matmul against powers of two below 2^52 packs
+    them, so every sum is an exact integer. The batch axis goes last, so that
+    gathering a line copies one contiguous block.
     """
-    diagonal = np.diagonal(gram, axis1=1, axis2=2)
-    return (np.count_nonzero(gram, axis=(1, 2)) - np.count_nonzero(diagonal, axis=1)) // 2
+    width = adj.shape[-1]
+    bit = np.arange(width)
+    weights = np.zeros((width, _words(width)))
+    weights[bit, bit // 52] = np.ldexp(1.0, bit % 52)
+    return np.ascontiguousarray((adj @ weights).astype(np.uint64).transpose(1, 2, 0))
+
+
+def _linked_pairs(lines: np.ndarray, pairs: tuple) -> np.ndarray:
+    """Per batch entry, how many line pairs (i, i') share a set bit.
+
+    ``lines`` is laid out as ``_packed_lines`` returns it, and ``pairs`` is
+    two index arrays, as ``np.triu_indices`` gives them.
+    """
+    first, second = pairs
+    return np.count_nonzero((lines[first] & lines[second]).any(axis=1), axis=0)
 
 
 def edge_count_correlation(
-    params: ModelParams, trials: int, seed: int, batch_size: int = 4096
+    params: ModelParams, trials: int, seed: int, batch_size: Optional[int] = None
 ) -> Optional[float]:
     """Sample correlation between active and passive edge totals.
 
-    Monte Carlo check of the folklore that the two projections' sizes move
-    together; no closed form is known. Returns None when either total is
-    constant across the sample (e.g. p = 0 or p = 1). Per trial, two vertices
-    are linked iff their entry of A A^T is positive and two objects iff theirs
-    of A^T A is; the entries count shared neighbours exactly in float32.
+    Monte Carlo check that the two projections' sizes move together; ROADMAP
+    item 4 gives the exact correlation in closed form. Returns None when
+    either total is constant across the sample (e.g. p = 0 or p = 1). Per
+    trial, each row and each column of the adjacency is packed into 52-bit
+    words (``_packed_lines``), and two vertices (objects) are linked iff their
+    rows (columns) share a set bit. By default a batch's largest array, the
+    edge counters or a gathered set of line pairs, holds about ``BATCH_BYTES``.
     """
     if trials < 2:
         raise ValueError("correlation needs at least 2 trials")
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
+    n, m = params.n, params.m
+    vertex_pairs, object_pairs = np.triu_indices(n, 1), np.triu_indices(m, 1)
+    words = max(n * m, len(vertex_pairs[0]) * _words(m), len(object_pairs[0]) * _words(n))
+    batch_size = batch_trials(8 * words, batch_size)
     active = np.empty(trials, dtype=np.float64)
     passive = np.empty(trials, dtype=np.float64)
     for start in range(0, trials, batch_size):
         size = min(batch_size, trials - start)
-        adj = _adjacency_batch(params, seed, start, size).astype(np.float32)
-        adj_t = adj.transpose(0, 2, 1)
-        active[start : start + size] = _linked_pairs(adj @ adj_t)
-        passive[start : start + size] = _linked_pairs(adj_t @ adj)
+        adj = _adjacency_batch(params, seed, start, size).astype(np.float64)
+        active[start : start + size] = _linked_pairs(_packed_lines(adj), vertex_pairs)
+        passive[start : start + size] = _linked_pairs(
+            _packed_lines(adj.transpose(0, 2, 1)), object_pairs
+        )
     if active.std() == 0.0 or passive.std() == 0.0:
         return None
     return float(np.corrcoef(active, passive)[0, 1])

@@ -15,6 +15,7 @@ from rigjoint import (
     ModelParams,
     Side,
     chi_square,
+    edge_count_correlation,
     empirical_joint,
     eval_joint_pgf,
     exhaustive_joint,
@@ -222,9 +223,19 @@ def test_criterion_11_performance():
     ok = ok and value >= 0 and summary.mean_x > 0 and float_elapsed < 0.3
 
     start = time.perf_counter()
+    edge = eval_joint_pgf(ModelParams(700, 700, Fraction(1, 100)), 0.0, 0.7, Mode.FLOAT)
+    edge_elapsed = time.perf_counter() - start
+    ok = ok and edge > 0 and edge_elapsed < 0.05
+
+    start = time.perf_counter()
     emp = empirical_joint(ModelParams(50, 50, Fraction(1, 20)), 40_000, seed=11)
     sample_elapsed = time.perf_counter() - start
-    ok = ok and emp.trials == 40_000 and sample_elapsed < 1
+    ok = ok and emp.trials == 40_000 and sample_elapsed < 0.5
+
+    start = time.perf_counter()
+    corr = edge_count_correlation(ModelParams(20, 20, Fraction(1, 10)), 40_000, seed=11)
+    corr_elapsed = time.perf_counter() - start
+    ok = ok and corr is not None and corr > 0 and corr_elapsed < 0.5
 
     start = time.perf_counter()
     for n, m, p in [(11, 2, Fraction(1, 3)), (2, 11, Fraction(1, 3)), (1, 22, Fraction(1, 2))]:
@@ -236,7 +247,9 @@ def test_criterion_11_performance():
         "performance envelopes",
         ok,
         f"exact 40x40 pmf {exact_elapsed:.2f}s < 0.5s; float 500x500 {float_elapsed:.2f}s < 0.3s; "
-        f"Monte Carlo 50x50 40000 trials {sample_elapsed:.2f}s < 1s; "
+        f"float 700x700 at (0, 0.7) {edge_elapsed:.3f}s < 0.05s; "
+        f"Monte Carlo 50x50 40000 trials {sample_elapsed:.2f}s < 0.5s; "
+        f"edge-count correlation 20x20 40000 trials {corr_elapsed:.2f}s < 0.5s; "
         f"enumeration 11x2, 2x11, 1x22 {enumeration_elapsed:.3f}s < 0.25s",
     )
 
@@ -256,7 +269,7 @@ def test_criterion_12_determinism(capsys):
     params = ModelParams(6, 4, Fraction(3, 10))
     partitions = [
         empirical_joint(params, 10_000, seed=271828, batch_size=size)
-        for size in (1, 37, 4096, 10_000)
+        for size in (1, 37, 4096, 10_000, None)
     ]
     ok = first == second and all(e.counts == partitions[0].counts for e in partitions)
     with capsys.disabled():

@@ -117,7 +117,8 @@ class TestEmpiricalJoint:
         full = empirical_joint(params, trials=500, seed=9, batch_size=4096)
         tiny = empirical_joint(params, trials=500, seed=9, batch_size=1)
         odd = empirical_joint(params, trials=500, seed=9, batch_size=17)
-        assert full.counts == tiny.counts == odd.counts
+        default = empirical_joint(params, trials=500, seed=9)
+        assert full.counts == tiny.counts == odd.counts == default.counts
 
     def test_matches_scalar_sampling_path(self):
         # the lean sampler draws only the words the degree pair reads; its

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import textwrap
+import time
 from fractions import Fraction
 
 import pytest
@@ -393,6 +394,20 @@ class TestSimulateCommand:
         assert code == 3
         assert out == ""
         assert "capped at 1000000" in err
+
+    @pytest.mark.parametrize(
+        "n,m,p,trials", [("1000", "1000", "1/2", "1000000"), ("1", "1", "0", "500000001")]
+    )
+    def test_work_capped_before_sampling(self, capsys, n, m, p, trials):
+        # trials * (n + m + 2p*n*m) words past MAX_SIMULATE_WORDS is refused at once
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, ["simulate", "--n", n, "--m", m, "--p", p, "--trials", trials]
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert out == ""
+        assert "capped at 1e+09" in err
 
 
 class TestVerifyCommand:

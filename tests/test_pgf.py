@@ -430,10 +430,18 @@ class TestEvalJointPgf:
                     assert approx == pytest.approx(full, rel=1e-13, abs=0)
         # Jensen's bound x^E[X] y^E[Y] underflows here (E[X] = E[Y] is about
         # 172, and 1e-3^172 is below the smallest double) although F is about
-        # 7.5e-17, so nothing is cut and the sum is the full one.
+        # 7.5e-17; (1-p)^(n+m-1), about 5.5e-19, keeps the window, and the
+        # sum still rounds to the full one.
         params = ModelParams(200, 200, Fraction(1, 10))
         value = eval_joint_pgf(params, 1e-3, 0.9, Mode.FLOAT)
         assert value > 0 and value == reference.joint_pgf_float_full(params, 1e-3, 0.9)
+
+    def test_float_window_kept_where_jensen_bound_is_zero(self):
+        # x = 0 makes Jensen's bound 0; F >= P(X=0, Y=0) >= (1-p)^(n+m-1), about
+        # 7.9e-7 here, keeps the window (criterion 11 times this point)
+        params = ModelParams(700, 700, Fraction(1, 100))
+        full = reference.joint_pgf_float_full(params, 0.0, 0.7)
+        assert eval_joint_pgf(params, 0.0, 0.7, Mode.FLOAT) == pytest.approx(full, rel=1e-13, abs=0)
 
     def test_exact_mode_rejects_floats(self):
         with pytest.raises(TypeError):

@@ -223,10 +223,11 @@ class TestEdgeCountCorrelation:
         with pytest.raises(ValueError, match="batch_size must be positive"):
             edge_count_correlation(params, 100, seed=3, batch_size=batch_size)
 
+    # (3, 70) and (70, 3) pack each 70-bit row or column into two 52-bit words
     @pytest.mark.parametrize(
         "n,m,p",
         [(20, 20, Fraction(1, 10)), (7, 3, HALF), (3, 7, Fraction(2, 5)), (1, 4, HALF),
-         (4, 4, Fraction(1))],
+         (4, 4, Fraction(1)), (3, 70, Fraction(1, 5)), (70, 3, Fraction(1, 5))],
     )
     def test_matches_pair_loop_reference(self, n, m, p):
         trials, seed = 200, 17
@@ -242,8 +243,9 @@ class TestEdgeCountCorrelation:
             expect = None
         else:
             expect = float(np.corrcoef(active, passive)[0, 1])
-        got = edge_count_correlation(ModelParams(n, m, p), trials, seed, batch_size=33)
-        assert got == expect
+        for batch_size in (33, None):
+            got = edge_count_correlation(ModelParams(n, m, p), trials, seed, batch_size)
+            assert got == expect
         assert (expect is None) == (n == 1 or p == 1)
 
 
