@@ -17,7 +17,12 @@ every edge; ``stats.edge_count_correlation`` needs the whole graph.
 
 Both samplers run the trial range in batches sized in bytes, not trials
 (``batch_trials``): a batch's largest array holds about ``BATCH_BYTES``
-whatever the shape, so its temporaries stay in cache. The batch size never
+whatever the shape, so its temporaries stay in cache. ``run_batches`` deals
+the batches out to parallel lanes of threads, one per available CPU up to
+``MAX_LANES``: lane w runs batches w, w + L, w + 2L, ... numpy's ufuncs,
+fancy indexing and ``nonzero`` release the GIL, so the lanes overlap. Each
+lane holds one batch's temporaries at a time, so memory is about the lane
+count times one batch. Neither the batch size nor the lane count ever
 changes a result.
 
 ``exhaustive_joint`` is the ground-truth oracle: it counts every one of the
@@ -32,9 +37,11 @@ at n*m <= 22.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from math import comb
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -52,6 +59,13 @@ ENUMERATION_CAP = 22
 # least as fast with it as with 4096 trials per batch, and the 20x20
 # correlation more than twice as fast.
 BATCH_BYTES = 3 << 18
+
+# Most lanes (threads) a sampler runs its batches on; fewer when the process
+# may use fewer CPUs or the trials fill fewer batches. Each lane holds one
+# batch of about BATCH_BYTES, so the cap bounds the extra memory. Only 1 and
+# 2 lanes have been measured (on 2 vCPUs): 2 lanes cut the benchmark's
+# sampler jobs by about a third.
+MAX_LANES = 4
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -108,6 +122,68 @@ def batch_trials(bytes_per_trial: float, batch_size: Optional[int]) -> int:
     return batch_size
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def run_batches(work: Callable[[Iterator], object], trials: int, batch_size: int) -> list:
+    """Run ``work`` once per lane over its share of the batches of [0, trials).
+
+    The batches are (start, count) pairs of ``batch_size`` trials, the last
+    one shorter. Lane w of L receives batches w, w + L, w + 2L, ... as an
+    iterator; the calling thread runs lane 0 and one thread each the others,
+    and every thread is joined before this returns. Returns the lanes'
+    results in lane order. ``work`` runs on several threads at once, so it
+    may write only to its own lane's state or to disjoint slices of shared
+    arrays, and must call only private helpers: a tracer that wraps public
+    functions is not thread-safe.
+
+    When any lane raises, including on an interrupt in the calling thread,
+    the other lanes stop before their next batch, and the first exception
+    is re-raised once every thread has been joined.
+    """
+    starts = range(0, trials, batch_size)
+    lanes = min(_cpus(), len(starts), MAX_LANES)
+    stop = threading.Event()
+    results = [None] * lanes
+    errors = []
+
+    def run(lane):
+        def batches():
+            for start in starts[lane::lanes]:
+                if stop.is_set():
+                    return
+                yield start, min(batch_size, trials - start)
+
+        try:
+            results[lane] = work(batches())
+        except BaseException as exc:  # re-raised by the calling thread
+            errors.append(exc)
+            stop.set()
+
+    threads = []
+    try:
+        for lane in range(1, lanes):
+            thread = threading.Thread(target=run, args=(lane,), name=f"rigjoint-lane-{lane}")
+            thread.start()
+            threads.append(thread)
+        run(0)
+        for thread in threads:
+            thread.join()
+    except BaseException:  # a thread failed to start, or an interrupt came while joining
+        stop.set()
+        for thread in threads:
+            thread.join()
+        raise
+    if errors:
+        raise errors[0]
+    return results
+
+
 def _trial_seeds(seed: int, start: int, count: int) -> np.ndarray:
     """Seeds of trials [start, start+count), as ``derive_trial_seed`` gives them."""
     idx = np.arange(start, start + count, dtype=np.uint64)
@@ -143,7 +219,7 @@ class EmpiricalJointDistribution:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if sum(c for row in self.counts for c in row) != self.trials:
+        if sum(map(sum, self.counts)) != self.trials:
             raise ValueError("counts must sum to trials")
 
 
@@ -197,20 +273,26 @@ def empirical_joint(
     of the vertices in N(o0), about n + m + 2p*n*m words instead of n*m.
     Each word drawn is the one the full adjacency would hold, so the tallies
     equal those of whole sampled graphs and are the same for any
-    ``batch_size``. By default a batch's largest array holds about
-    ``BATCH_BYTES``: the counters of the cells that cross the tracked row's
-    or column's edges, about p*n*m words per trial, or the tracked row or
-    column itself.
+    ``batch_size`` and lane count. By default a batch's largest array holds
+    about ``BATCH_BYTES``: the counters of the cells that cross the tracked
+    row's or column's edges, about p*n*m words per trial, or the tracked row
+    or column itself. Each lane of ``run_batches`` tallies into its own
+    array, and the lanes' tallies are summed.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     n, m = params.n, params.m
     batch_size = batch_trials(8 * max(n, m, float(params.p) * n * m), batch_size)
-    counts = np.zeros(n * m, dtype=np.int64)
-    for start in range(0, trials, batch_size):
-        x, y = _degree_batch(params, seed, start, min(batch_size, trials - start))
-        np.add.at(counts, x * m + y, 1)  # O(batch), where a bincount is O(n*m)
-    table = tuple(tuple(int(c) for c in counts[i * m : (i + 1) * m]) for i in range(n))
+
+    def tally(batches):
+        counts = np.zeros(n * m, dtype=np.int64)
+        for start, count in batches:
+            x, y = _degree_batch(params, seed, start, count)
+            np.add.at(counts, x * m + y, 1)  # O(batch), where a bincount is O(n*m)
+        return counts
+
+    counts = sum(run_batches(tally, trials, batch_size))
+    table = tuple(map(tuple, counts.reshape(n, m).tolist()))
     return EmpiricalJointDistribution(table, trials, seed)
 
 

@@ -41,9 +41,10 @@ MAX_GRID_POINTS = 10_000
 MAX_SIMULATE_CELLS = 1_000_000
 
 # Most words simulate may draw: trials times bipartite.sample_words, the
-# expected n + m + 2p*n*m per trial. On 2 vCPUs the sampler drew 36-120 M
-# words/s (slowest at 1000x1000 p=9/10, fastest at 10x10 p=1/5), so an
-# accepted run samples for at most about 30 s.
+# expected n + m + 2p*n*m per trial. On 2 vCPUs the sampler drew 80-214 M
+# words/s on two lanes and 44-140 M on one CPU (slowest at 1000x1000 p=9/10,
+# fastest at 10x10 p=1/5), so an accepted run samples for at most about 13 s,
+# or 23 s on one CPU.
 MAX_SIMULATE_WORDS = 10**9
 
 # Fixed rational probes at which verify compares the joint PGF with the

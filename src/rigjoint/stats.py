@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bipartite import EmpiricalJointDistribution, _adjacency_batch, batch_trials
+from .bipartite import EmpiricalJointDistribution, _adjacency_batch, batch_trials, run_batches
 from .exact import Mode, Scalar, zero
 from .pgf import (
     JointDegreeDistribution,
@@ -179,7 +179,9 @@ def _linked_pairs(lines: np.ndarray, pairs: tuple) -> np.ndarray:
     two index arrays, as ``np.triu_indices`` gives them.
     """
     first, second = pairs
-    return np.count_nonzero((lines[first] & lines[second]).any(axis=1), axis=0)
+    shared = lines[first]
+    shared &= lines[second]
+    return np.count_nonzero(shared.any(axis=1), axis=0)
 
 
 def edge_count_correlation(
@@ -194,6 +196,9 @@ def edge_count_correlation(
     words (``_packed_lines``), and two vertices (objects) are linked iff their
     rows (columns) share a set bit. By default a batch's largest array, the
     edge counters or a gathered set of line pairs, holds about ``BATCH_BYTES``.
+    The lanes of ``run_batches`` write their batches' totals into disjoint
+    slices of one pair of arrays, so the result is the same double for any
+    ``batch_size`` and lane count.
     """
     if trials < 2:
         raise ValueError("correlation needs at least 2 trials")
@@ -203,13 +208,16 @@ def edge_count_correlation(
     batch_size = batch_trials(8 * words, batch_size)
     active = np.empty(trials, dtype=np.float64)
     passive = np.empty(trials, dtype=np.float64)
-    for start in range(0, trials, batch_size):
-        size = min(batch_size, trials - start)
-        adj = _adjacency_batch(params, seed, start, size).astype(np.float64)
-        active[start : start + size] = _linked_pairs(_packed_lines(adj), vertex_pairs)
-        passive[start : start + size] = _linked_pairs(
-            _packed_lines(adj.transpose(0, 2, 1)), object_pairs
-        )
+
+    def totals(batches):
+        for start, size in batches:
+            adj = _adjacency_batch(params, seed, start, size).astype(np.float64)
+            rows, columns = _packed_lines(adj), _packed_lines(adj.transpose(0, 2, 1))
+            del adj  # free the batch's largest array before the line pairs are gathered
+            active[start : start + size] = _linked_pairs(rows, vertex_pairs)
+            passive[start : start + size] = _linked_pairs(columns, object_pairs)
+
+    run_batches(totals, trials, batch_size)
     if active.std() == 0.0 or passive.std() == 0.0:
         return None
     return float(np.corrcoef(active, passive)[0, 1])

@@ -264,8 +264,9 @@ def test_criterion_12_determinism(capsys):
     assert main(argv) == 0
     second = capsys.readouterr().out
 
-    # batch partitioning is the sequential analog of worker partitioning:
-    # tallies must not depend on how the trial range is split
+    # tallies must not depend on how the trial range is split into batches,
+    # nor, since the batches run on parallel lanes of threads
+    # (bipartite.run_batches), on how the batches are dealt to the lanes
     params = ModelParams(6, 4, Fraction(3, 10))
     partitions = [
         empirical_joint(params, 10_000, seed=271828, batch_size=size)

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -120,6 +123,32 @@ class TestEmpiricalJoint:
         default = empirical_joint(params, trials=500, seed=9)
         assert full.counts == tiny.counts == odd.counts == default.counts
 
+    @pytest.mark.parametrize("lanes", [2, 3])
+    def test_independent_of_lane_count(self, monkeypatch, lanes):
+        # _cpus is raised so that 3 lanes run even on fewer CPUs; a short
+        # switch interval makes the lanes interleave often
+        cases = [
+            (ModelParams(3, 4, Fraction(1, 3)), 500),
+            (ModelParams(12, 9, Fraction(2, 5)), 300),
+            (ModelParams(5, 5, HALF), 2),  # fewer batches than 3 lanes at batch_size 1
+        ]
+        serial = {}
+        monkeypatch.setattr(bipartite, "MAX_LANES", 1)
+        for params, trials in cases:
+            for batch_size in (1, 17, None):  # None: a single batch for all cases
+                serial[params, batch_size] = empirical_joint(params, trials, 9, batch_size)
+        monkeypatch.setattr(bipartite, "MAX_LANES", lanes)
+        monkeypatch.setattr(bipartite, "_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for params, trials in cases:
+                for batch_size in (1, 17, None):
+                    got = empirical_joint(params, trials, 9, batch_size)
+                    assert got == serial[params, batch_size], (params, batch_size)
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_matches_scalar_sampling_path(self):
         # the lean sampler draws only the words the degree pair reads; its
         # tallies must equal those of whole graphs, drawn edge by edge by the
@@ -154,6 +183,41 @@ class TestEmpiricalJoint:
     def test_tv_to_exact_law(self):
         emp = empirical_joint(P22, trials=100_000, seed=42)
         assert tv_distance(joint_pmf(P22), emp) < 0.01
+
+
+class TestRunBatches:
+    def test_lanes_take_strided_batches(self, monkeypatch):
+        monkeypatch.setattr(bipartite, "_cpus", lambda: 8)
+        monkeypatch.setattr(bipartite, "MAX_LANES", 2)
+        assert bipartite.run_batches(list, 10, 3) == [[(0, 3), (6, 3)], [(3, 3), (9, 1)]]
+        monkeypatch.setattr(bipartite, "MAX_LANES", 3)
+        assert bipartite.run_batches(list, 10, 3) == [[(0, 3), (9, 1)], [(3, 3)], [(6, 3)]]
+        # never more lanes than batches or CPUs
+        assert bipartite.run_batches(list, 5, 3) == [[(0, 3)], [(3, 2)]]
+        monkeypatch.setattr(bipartite, "_cpus", lambda: 1)
+        assert bipartite.run_batches(list, 10, 3) == [[(0, 3), (3, 3), (6, 3), (9, 1)]]
+
+    @pytest.mark.parametrize("error, failing_lane", [(RuntimeError, 1), (KeyboardInterrupt, 0)])
+    def test_failure_stops_every_lane(self, monkeypatch, error, failing_lane):
+        # a batch of one lane raises; the error leaves empirical_joint, the
+        # other lane stops before its next batch, and no thread is left
+        monkeypatch.setattr(bipartite, "_cpus", lambda: 8)
+        monkeypatch.setattr(bipartite, "MAX_LANES", 2)
+        original, calls = bipartite._degree_batch, []
+
+        def failing(params, seed, start, count):
+            calls.append(start)
+            if start == 40 + failing_lane:  # the 21st batch of the failing lane
+                raise error("batch failed")
+            time.sleep(0.001)  # so that a lane left running would still be alive
+            return original(params, seed, start, count)
+
+        monkeypatch.setattr(bipartite, "_degree_batch", failing)
+        before = threading.active_count()
+        with pytest.raises(error, match="batch failed"):
+            empirical_joint(ModelParams(4, 4, HALF), 20_000, 3, batch_size=1)
+        assert threading.active_count() == before
+        assert len(calls) < 1000
 
 
 class TestExhaustiveJoint:

@@ -1,3 +1,5 @@
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +11,7 @@ from rigjoint import (
     Mode,
     ModelParams,
     Side,
+    bipartite,
     chi_square,
     default_independence_grid,
     derive_trial_seed,
@@ -247,6 +250,48 @@ class TestEdgeCountCorrelation:
             got = edge_count_correlation(ModelParams(n, m, p), trials, seed, batch_size)
             assert got == expect
         assert (expect is None) == (n == 1 or p == 1)
+
+    def test_pinned_value(self):
+        got = edge_count_correlation(ModelParams(20, 20, Fraction(1, 10)), 40_000, seed=901)
+        assert got == 0.7370328408714293
+
+    @pytest.mark.parametrize("lanes", [2, 3])
+    def test_independent_of_lane_count(self, monkeypatch, lanes):
+        # trials=2 at batch_size 1 has fewer batches than 3 lanes, and
+        # batch_size=None puts each case in a single batch
+        cases = [(ModelParams(7, 3, HALF), 200), (ModelParams(20, 20, Fraction(1, 10)), 600),
+                 (ModelParams(4, 4, HALF), 2)]
+        monkeypatch.setattr(bipartite, "MAX_LANES", 1)
+        serial = {
+            (params, batch_size): edge_count_correlation(params, trials, 17, batch_size)
+            for params, trials in cases
+            for batch_size in (1, 17, None)
+        }
+        monkeypatch.setattr(bipartite, "MAX_LANES", lanes)
+        monkeypatch.setattr(bipartite, "_cpus", lambda: 8)
+        for params, trials in cases:
+            for batch_size in (1, 17, None):
+                got = edge_count_correlation(params, trials, 17, batch_size)
+                assert got == serial[params, batch_size], (params, batch_size)
+
+    def test_failure_stops_every_lane(self, monkeypatch):
+        monkeypatch.setattr(bipartite, "_cpus", lambda: 8)
+        monkeypatch.setattr(bipartite, "MAX_LANES", 2)
+        original, calls = stats._adjacency_batch, []
+
+        def failing(params, seed, start, count):
+            calls.append(start)
+            if start == 41:  # the 21st batch of lane 1
+                raise RuntimeError("batch failed")
+            time.sleep(0.001)  # so that a lane left running would still be alive
+            return original(params, seed, start, count)
+
+        monkeypatch.setattr(stats, "_adjacency_batch", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="batch failed"):
+            edge_count_correlation(ModelParams(4, 4, HALF), 20_000, 3, batch_size=1)
+        assert threading.active_count() == before
+        assert len(calls) < 1000
 
 
 class TestCovarianceSweepSmall:
