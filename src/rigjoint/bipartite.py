@@ -33,6 +33,10 @@ route uses too. Two guards make a miscount raise instead of passing quietly:
 the counts total 2^(n*m), and those with e edges total C(n*m, e). It uses
 no closed form and exists to validate the closed-form route; it is capped
 at n*m <= 22.
+
+The samplers and the enumeration are the only users of numpy here, and each
+function that uses it imports it when called, so importing this module,
+as every ``rigjoint`` process does, does not load numpy.
 """
 
 from __future__ import annotations
@@ -42,8 +46,6 @@ import threading
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterator, Optional
-
-import numpy as np
 
 from .exact import SizeCapError
 from .pgf import JointDegreeDistribution, ModelParams
@@ -83,6 +85,7 @@ def _mix64(z: int) -> int:
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
     """Split-mix finalizer on a uint64 array, in place, with one scratch array; returns ``z``."""
+    import numpy as np
     shifted = np.empty_like(z)
     z ^= np.right_shift(z, np.uint64(30), out=shifted)
     z *= np.uint64(_MIX1)
@@ -186,6 +189,7 @@ def run_batches(work: Callable[[Iterator], object], trials: int, batch_size: int
 
 def _trial_seeds(seed: int, start: int, count: int) -> np.ndarray:
     """Seeds of trials [start, start+count), as ``derive_trial_seed`` gives them."""
+    import numpy as np
     idx = np.arange(start, start + count, dtype=np.uint64)
     return _mix64_np(np.uint64(seed & _MASK) + (idx + np.uint64(1)) * np.uint64(_GAMMA))
 
@@ -195,6 +199,7 @@ def _edges_present(counters: np.ndarray, threshold: int) -> np.ndarray:
 
     The counters are mixed in place, so the array no longer holds them afterwards.
     """
+    import numpy as np
     if threshold > _MASK:
         return np.ones(counters.shape, dtype=bool)
     return _mix64_np(counters) < np.uint64(threshold)
@@ -202,6 +207,7 @@ def _edges_present(counters: np.ndarray, threshold: int) -> np.ndarray:
 
 def _adjacency_batch(params: ModelParams, seed: int, start: int, count: int) -> np.ndarray:
     """Adjacency of trials [start, start+count) as a bool array (count, n, m)."""
+    import numpy as np
     n, m = params.n, params.m
     offsets = np.arange(1, n * m + 1, dtype=np.uint64) * np.uint64(_GAMMA)
     counters = _trial_seeds(seed, start, count)[:, None] + offsets[None, :]
@@ -236,6 +242,7 @@ def _degree_batch(params: ModelParams, seed: int, start: int, count: int) -> tup
     column of N(v0); object j >= 1 is a passive neighbour of o0 iff column j
     has an edge in some row of N(o0).
     """
+    import numpy as np
     n, m = params.n, params.m
     threshold = _edge_threshold(params)
     seeds = _trial_seeds(seed, start, count)
@@ -279,6 +286,7 @@ def empirical_joint(
     or column itself. Each lane of ``run_batches`` tallies into its own
     array, and the lanes' tallies are summed.
     """
+    import numpy as np
     if trials < 1:
         raise ValueError("trials must be positive")
     n, m = params.n, params.m
@@ -298,6 +306,7 @@ def empirical_joint(
 
 def _add_line(state: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Counts after one more line: each line value r moves state i to targets[r, i]."""
+    import numpy as np
     moved = np.zeros_like(state)
     np.add.at(moved, targets.ravel(), np.tile(state, len(targets)))
     return moved
@@ -310,6 +319,7 @@ def _line_counts(lines: int, width: int, bit: int) -> np.ndarray:
     other lines that share a set bit with the tracked line, y the bits other
     than ``bit`` set in some line that has ``bit`` set, and e the set bits.
     """
+    import numpy as np
     size, cells = 1 << width, lines * width
     shape = (size, lines, size, cells + 1)  # tracked line, x, covered, e
     line, tracked, x, covered, e = np.ix_(np.arange(size), *map(np.arange, shape))

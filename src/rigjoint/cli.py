@@ -110,6 +110,30 @@ def _means_past_digit_limit(params: ModelParams) -> bool:
     )
 
 
+def _scale_past_digit_limit(params: ModelParams) -> bool:
+    """Whether ``pmf`` would print an integer past the int-to-str limit.
+
+    Every integer ``pmf`` prints is at most its scale b^(n*m), b = den(p).
+    With p = a/b in lowest terms, c = b - a and n >= 2,
+    P(X=0) = sum_d C(m,d) a^d c^(m-d+d(n-1)) b^((m-d)(n-1)) / b^(n*m): each
+    term with d < m carries a factor b and the d = m term a^m c^(m(n-1)) is
+    coprime to b, so P(X=0) in lowest terms has the whole scale as its
+    denominator; so has P(Y=0) when m >= 2. Hence for n*m >= 2 the limit is
+    passed iff scale >= 10^limit. That is decided on
+    log2(n*m) + log2(log2(b)) against log2(limit * log2(10)), which
+    overflows at no size, and exactly only where the two are too close to
+    call, when the scale is about 10^limit.
+    """
+    limit, b = sys.get_int_max_str_digits(), params.p.denominator
+    cells = params.n * params.m
+    if limit == 0 or b < 2 or cells < 2:
+        return False
+    gap = math.log2(cells) + math.log2(math.log2(b)) - math.log2(limit * math.log2(10))
+    if abs(gap) > 1e-9:
+        return gap > 0
+    return b**cells >= 10**limit
+
+
 def _frac(value: Fraction) -> str:
     return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
 
@@ -188,6 +212,8 @@ def cmd_pmf(args) -> int:
         raise SizeCapError(
             f"exact pmf capped at n, m <= {cap} (override with {ENV_EXACT_CAP})"
         )
+    if _scale_past_digit_limit(params):
+        raise _too_many_digits()
     dist = joint_pmf(params)
     base = params.p.denominator
     joint = zip(

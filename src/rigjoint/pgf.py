@@ -51,6 +51,11 @@ size, about the product of the three tails' widths, instead of
 max(n,m) min(n,m)^2 / 2 multiply-adds, and the result agrees with exact mode
 to a relative 1e-9 (1e-12 at 40x40 and 60x60). Outside [0,1]^2 the terms
 alternate in sign, the full sum runs, and only small sizes stay accurate.
+
+The float joint PGF is the only route here that uses numpy, and its three
+functions import it when called. The exact routes (the table, the sieve,
+the laws and the exact PGFs), float moments and the float marginal PGF never
+load it.
 """
 
 from __future__ import annotations
@@ -61,8 +66,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
 
 from .exact import Mode, Scalar, as_scalar, binom
 
@@ -381,6 +384,7 @@ def _binomial_weights(t: float, top, k) -> np.ndarray:
     neither the binomial coefficient nor the powers overflow; the sign is put
     back for t outside [0, 1], and t = 0 or 1 gives exact zeros and ones.
     """
+    import numpy as np
     top, k = np.broadcast_arrays(top, k)
     if t == 0.0 or t == 1.0:
         return (k == (top if t == 0.0 else 0)).astype(float)
@@ -399,6 +403,7 @@ def _window(weights: np.ndarray, budget: float) -> tuple:
 
     Each tail may drop up to budget / 2.
     """
+    import numpy as np
     half = budget / 2
     lo = np.count_nonzero(np.cumsum(weights) <= half)
     hi = len(weights) - np.count_nonzero(np.cumsum(weights[::-1]) <= half)
@@ -439,6 +444,7 @@ def _eval_joint_float(params: ModelParams, x: float, y: float) -> float:
     is below the smallest normal double, where subnormal weights would make
     the tail sums inexact.
     """
+    import numpy as np
     n, m = params.n, params.m
     if m > n:
         n, m, x, y = m, n, y, x

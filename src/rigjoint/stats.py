@@ -7,6 +7,10 @@ E[Y1 Y2] = N[1][1], and shifting by constants leaves variances and the
 covariance unchanged. X and Y are both increasing functions of the edge set,
 so cov(X, Y) >= 0 by Harris's inequality; float mode can still print a
 negative value at tiny p, where N11 - N10 N01 cancels.
+
+Only ``edge_count_correlation`` and its helpers use numpy, and they import
+it when called; moments, the independence gap, TV distance and chi-square run without
+it.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
-
-import numpy as np
 
 from .bipartite import EmpiricalJointDistribution, _adjacency_batch, batch_trials, run_batches
 from .exact import Mode, Scalar, zero
@@ -165,6 +167,7 @@ def _packed_lines(adj: np.ndarray) -> np.ndarray:
     them, so every sum is an exact integer. The batch axis goes last, so that
     gathering a line copies one contiguous block.
     """
+    import numpy as np
     width = adj.shape[-1]
     bit = np.arange(width)
     weights = np.zeros((width, _words(width)))
@@ -178,6 +181,7 @@ def _linked_pairs(lines: np.ndarray, pairs: tuple) -> np.ndarray:
     ``lines`` is laid out as ``_packed_lines`` returns it, and ``pairs`` is
     two index arrays, as ``np.triu_indices`` gives them.
     """
+    import numpy as np
     first, second = pairs
     shared = lines[first]
     shared &= lines[second]
@@ -200,6 +204,7 @@ def edge_count_correlation(
     slices of one pair of arrays, so the result is the same double for any
     ``batch_size`` and lane count.
     """
+    import numpy as np
     if trials < 2:
         raise ValueError("correlation needs at least 2 trials")
     n, m = params.n, params.m

@@ -2,14 +2,19 @@ import hashlib
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 import textwrap
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rigjoint
 from rigjoint import cli, pgf
 from rigjoint.cli import _law_cells, main
 
@@ -104,6 +109,67 @@ class TestPmfCommand:
         assert code == 0
         assert out == ""
         assert "0,0,7/16,0.4375" in target.read_text()
+
+
+@pytest.fixture
+def digit_limit_640():
+    """Python's int-to-str limit lowered to its least allowed value, 640 digits."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestPmfDigitBound:
+    """``pmf`` refuses up front exactly what its renderer would refuse.
+
+    With the limit at 640 digits, the shapes below straddle scale = 10^640:
+    every printed integer is at most the scale, and P(X=0) (n >= 2) or
+    P(Y=0) (m >= 2) prints the whole scale as its denominator.
+    """
+
+    # scales 10^640, 10^640, 10^640 and 13^575 > 10^640.4
+    PAST = [(40, 16, "1/10"), (16, 40, "1/10"), (1, 40, "1/10000000000000000"), (23, 25, "1/13")]
+    # scales 10^638, 10^624 and 13^572 < 10^637.2
+    WITHIN = [(11, 29, "1/100"), (39, 1, "1/10000000000000000"), (22, 26, "1/13")]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n,m,p", PAST)
+    def test_refuses_before_any_work(self, capsys, monkeypatch, digit_limit_640, n, m, p, fmt):
+        argv = ["pmf", "--n", str(n), "--m", str(m), "--p", p, "--format", fmt]
+        with monkeypatch.context() as unbounded:
+            unbounded.setattr(cli, "_scale_past_digit_limit", lambda params: False)
+            rendered = run(capsys, argv)
+        assert rendered[0] == 3 and rendered[1] == ""
+        assert "640 digits" in rendered[2]
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the law was computed although pmf refuses it")
+
+        monkeypatch.setattr(cli, "joint_pmf", must_not_run)
+        assert run(capsys, argv) == rendered
+
+    @pytest.mark.parametrize("n,m,p", WITHIN)
+    def test_accepts_and_prints_the_whole_scale(self, capsys, digit_limit_640, n, m, p):
+        code, out, _ = run(capsys, ["pmf", "--n", str(n), "--m", str(m), "--p", p])
+        assert code == 0
+        side = "active" if n >= 2 else "passive"
+        zero = next(line for line in out.splitlines() if line.startswith(f"{side},0,"))
+        den = Fraction(p).denominator
+        assert zero.split(",")[2].split("/")[1] == str(den ** (n * m))
+
+    def test_no_limit_refuses_nothing(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        params = pgf.ModelParams(40, 40, Fraction(1, 10**12))
+        assert not cli._scale_past_digit_limit(params)
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (1, 2)])
+    def test_single_cell_and_lines(self, n, m):
+        # n*m = 1 prints only 1/1; a single line still prints the whole scale
+        params = pgf.ModelParams(n, m, Fraction(1, 10**4300))
+        assert cli._scale_past_digit_limit(params) is (n * m >= 2)
 
 
 # Bases den(p) of the law's scale: 1 (p = 0 or 1), primes, prime powers and
@@ -584,3 +650,56 @@ class TestScanCommand:
         _, out1, _ = run(capsys, argv)
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
+
+
+# Run in a fresh interpreter with numpy blocked: each argv's exit code and stdout digest.
+_BLOCKED_NUMPY_RUN = textwrap.dedent(
+    """
+    import contextlib, hashlib, io, json, sys
+    sys.modules["numpy"] = None
+    from rigjoint import cli
+    results = []
+    for argv in json.loads(sys.argv[1]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        results.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest()])
+    print(json.dumps(results))
+    """
+)
+
+
+def fresh_python(code, *args):
+    """stdout of ``code`` run by a new interpreter that imports this rigjoint."""
+    src = str(Path(rigjoint.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestStartUp:
+    """The exact routes never load numpy; only float PGFs, samplers and enumeration do."""
+
+    def test_import_leaves_numpy_unloaded(self):
+        code = "import sys, rigjoint, rigjoint.cli; print('numpy' in sys.modules)"
+        assert fresh_python(code) == "False\n"
+
+    def test_exact_commands_run_without_numpy(self, capsys):
+        pinned = [(p.values[0], p.values[1]) for p in STDOUT_DIGESTS if p.values[0][0] == "pmf"]
+        unpinned = [
+            ["moments", "--n", "40", "--m", "40", "--p", "1/2"],
+            ["moments", "--n", "2000", "--m", "2000", "--p", "1/2", "--mode", "float"],
+            ["scan", "--n", "5", "--m", "5", "--p-grid", "0:1:1/20", "--format", "json"],
+            ["scan", "--n", "40", "--m", "30", "--p-grid", "0:1:1/20", "--mode", "float"],
+        ]
+        for argv in unpinned:
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            pinned.append((argv, hashlib.sha256(out.encode()).hexdigest()))
+        argvs = [argv for argv, _ in pinned]
+        results = json.loads(fresh_python(_BLOCKED_NUMPY_RUN, json.dumps(argvs)))
+        assert results == [[0, digest] for _, digest in pinned]

@@ -487,6 +487,17 @@ class TestMarginals:
         expect = reference.marginal_law(4, 3, HALF, active=False)
         assert list(got.pmf) == [expect.get(b, Fraction(0)) for b in range(3)]
 
+    # `pmf`'s up-front digit bound (cli._scale_past_digit_limit) rests on this:
+    # P(X=0) for n >= 2, and P(Y=0) for m >= 2, keep the whole scale den(p)^(n*m)
+    # as their reduced denominator.
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.fractions(0, 1, max_denominator=60))
+    def test_zero_degree_keeps_the_whole_scale(self, n, m, p):
+        params = ModelParams(n, m, p)
+        for side, size in ((Side.ACTIVE, n), (Side.PASSIVE, m)):
+            if size >= 2 and p.denominator >= 2:
+                assert marginal_pmf(params, side).pmf[0].denominator == p.denominator ** (n * m)
+
     @pytest.mark.parametrize("n,m", [(2, 2), (3, 5), (6, 4), (10, 7)])
     def test_consistent_with_joint(self, n, m):
         params = ModelParams(n, m, Fraction(4, 5))
