@@ -309,6 +309,75 @@ STDOUT_DIGESTS = [
         "3fa5b8c2f22dd3a7b4c6d991a7f732e2fb8d6c3ffd58b0a0cb29c40a61db789d",
         id="pmf-power-of-two-den",
     ),
+    pytest.param(
+        ["simulate", "--n", "10", "--m", "10", "--p", "1/5", "--trials", "20000", "--seed", "3",
+         "--format", "json"],
+        "5eb1cd1f3a16744ca78057f4ac2af9a786b571751a710ac694272cb840e44eb3",
+        id="simulate-json",
+    ),
+    # chi-square "undefined": every draw lands in the one cell of the law
+    pytest.param(
+        ["simulate", "--n", "4", "--m", "3", "--p", "0", "--trials", "500"],
+        "42cfe7365f2260d6d8d2a52712ead359b2c554ce4a15cf1f709fbdd707b30b48",
+        id="simulate-p-zero-csv",
+    ),
+    pytest.param(
+        ["simulate", "--n", "4", "--m", "3", "--p", "0", "--trials", "500", "--format", "json"],
+        "df6650d01507a752d7a56eda76df7bcbb229237ee2effbc277f9dc1fc500fb1c",
+        id="simulate-p-zero-json",
+    ),
+    pytest.param(
+        ["moments", "--n", "7", "--m", "5", "--p", "2/7"],
+        "9d2941a9f56b09240315f5473a4ea1b66e3066f50aa91d96d86d787c3bbe19cb",
+        id="moments-exact-csv",
+    ),
+    pytest.param(
+        ["moments", "--n", "7", "--m", "5", "--p", "2/7", "--format", "json"],
+        "b8eeb358befbf117933516870fe4d0ee3ca17318f2646bf354861c19248d9e52",
+        id="moments-exact-json",
+    ),
+    pytest.param(
+        ["moments", "--n", "7", "--m", "5", "--p", "2/7", "--mode", "float"],
+        "57dc378129f0032e7efd0445beb9a55676bcb640a5ab9f35dae450be4ee360d9",
+        id="moments-float-csv",
+    ),
+    pytest.param(
+        ["moments", "--n", "7", "--m", "5", "--p", "2/7", "--mode", "float", "--format", "json"],
+        "77c99673d979d9ab0cade1efaad3c718fa1f1b460547fb8e1cedfc403b8bf4e4",
+        id="moments-float-json",
+    ),
+    # the grid's ends p = 0 and p = 1 have corr "undefined"
+    pytest.param(
+        ["scan", "--n", "6", "--m", "4", "--p-grid", "0:1:1/4"],
+        "56fe6104643d43bec41b8c3b953cab3dc3224d5dfd04dc9196a8323ac805022b",
+        id="scan-exact-csv",
+    ),
+    pytest.param(
+        ["scan", "--n", "6", "--m", "4", "--p-grid", "0:1:1/4", "--format", "json"],
+        "468e82d6533e0425f476e41386bbd03e776fa2a0cdb73a35cb2a3a957abd9209",
+        id="scan-exact-json",
+    ),
+    pytest.param(
+        ["scan", "--n", "6", "--m", "4", "--p-grid", "0:1:1/4", "--mode", "float"],
+        "7f218282d5fb608e0dc7e7317cfab082fd78543d76c5f7c0e663b0137929b367",
+        id="scan-float-csv",
+    ),
+    pytest.param(
+        ["scan", "--n", "6", "--m", "4", "--p-grid", "0:1:1/4", "--mode", "float",
+         "--format", "json"],
+        "c04b1771070131f42784df335caa08344a40f26927198f2f1bc737dcbf845592",
+        id="scan-float-json",
+    ),
+    pytest.param(
+        ["verify", "--n", "1", "--m", "1", "--p", "1"],
+        "29fbf902abd5bb10552b8522d51217fbf3766a6c07c9e76ceec7a454e488bc3b",
+        id="verify-single-cell-csv",
+    ),
+    pytest.param(
+        ["verify", "--n", "1", "--m", "1", "--p", "1", "--format", "json"],
+        "db32badd388629029780962f9e4921f43e5215eebb1611ccff9ba73daf2233e9",
+        id="verify-single-cell-json",
+    ),
 ]
 
 
@@ -317,6 +386,28 @@ def test_stdout_is_byte_identical(capsys, argv, digest):
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pmf", "--n", "3", "--m", "2", "--p", "1/3"],
+        ["moments", "--n", "3", "--m", "2", "--p", "1/3"],
+        ["simulate", "--n", "3", "--m", "2", "--p", "1/3", "--trials", "200"],
+        ["verify", "--n", "3", "--m", "2", "--p", "1/3"],
+        ["scan", "--n", "3", "--m", "2", "--p-grid", "0:1:1/2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_output_file_holds_what_stdout_would(capsys, tmp_path, argv, fmt):
+    argv = argv + ["--format", fmt]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    target = tmp_path / "out"
+    code, written, _ = run(capsys, argv + ["--output", str(target)])
+    assert code == 0 and written == ""
+    assert target.read_bytes() == out.encode()
 
 
 class TestMomentsCommand:
@@ -506,7 +597,8 @@ class TestVerifyCommand:
         assert doc["result"] == "PASS"
         assert [c["status"] for c in doc["checks"]] == ["PASS", "PASS", "PASS"]
 
-    def test_wrong_closed_form_fails_instead_of_usage_error(self, capsys, monkeypatch):
+    @pytest.fixture
+    def wrong_closed_form(self, monkeypatch):
         original = pgf._closed_form
 
         def per_vertex_exponent_n_minus_k(n, m, a, c, b, l, ks):
@@ -514,6 +606,8 @@ class TestVerifyCommand:
             return [e * (c * b**l + a * c**l) for e in original(n, m, a, c, b, l, ks)]
 
         monkeypatch.setattr(pgf, "_closed_form", per_vertex_exponent_n_minus_k)
+
+    def test_wrong_closed_form_fails_instead_of_usage_error(self, capsys, wrong_closed_form):
         argv = ["verify", "--n", "4", "--m", "5", "--p", "2/5"]
         code, out, err = run(capsys, argv)
         assert code == 1
@@ -524,6 +618,25 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert doc["result"] == "FAIL"
         assert doc["checks"][0] == {"name": "enumeration_vs_formula", "status": "FAIL"}
+
+    @pytest.mark.parametrize(
+        "fmt,digest",
+        [
+            ("csv", "36080fa3dd7ec16b3e03878bae21fdae1cfd29825fceddc5876cd5c3b17d029c"),
+            ("json", "78e52d6cd83baf1524aac7429fc60a69ab37c3ee52bd4c641fdd1624755c3af1"),
+        ],
+    )
+    def test_failure_output_is_byte_identical(self, capsys, wrong_closed_form, fmt, digest):
+        argv = ["verify", "--n", "4", "--m", "5", "--p", "2/5", "--format", fmt]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert err == (
+            "enumeration_vs_formula: entry (0,0) must equal 1, got 5\n"
+            "edge_split_recombination: first mismatch at (k,l) = (0,0): edge split 1, "
+            "closed form 5\n"
+            "pgf_transform_identity: entry (0,0) must equal 1, got 5\n"
+        )
 
     def test_wrong_running_product_in_k_fails(self, capsys, monkeypatch):
         # _closed_form with the leading term's step in k changed from c b^l to
