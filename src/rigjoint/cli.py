@@ -1,8 +1,12 @@
 """Command line surface: exact pmf tables, moments, Monte Carlo, verification.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments, 3 size
-cap exceeded. Output is CSV by default or JSON with --format json; identical
-invocations produce byte-identical output.
+cap exceeded. Every command writes its output once, through ``_write``, to
+stdout or --output, and identical invocations write identical bytes. CSV, the
+default, is one or more blocks, each a header line and its rows, with one
+blank line between blocks. --format json writes one object
+{"params", "mode"[, "checks"], "result"}, indented by 2, in which an exact
+fraction is {"num", "den"} as decimal digit strings.
 """
 
 from __future__ import annotations
@@ -72,7 +76,8 @@ def _exact_cap() -> int:
 
 
 def _dec(value) -> str:
-    return f"{float(value):.17g}"
+    """A number to 17 significant digits; a word such as "undefined" as it is."""
+    return value if isinstance(value, str) else f"{float(value):.17g}"
 
 
 def _too_many_digits() -> SizeCapError:
@@ -138,12 +143,31 @@ def _frac(value: Fraction) -> str:
     return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
 
 
-def _json_frac(value: Fraction) -> dict:
+def _json_value(value) -> dict:
+    """JSON for the two types json cannot encode: a model and a fraction."""
+    if isinstance(value, ModelParams):
+        return {"n": value.n, "m": value.m, "p": value.p}
     return {"num": _digits(value.numerator), "den": _digits(value.denominator)}
 
 
-def _params_json(params: ModelParams) -> dict:
-    return {"n": params.n, "m": params.m, "p": _json_frac(params.p)}
+def _summary(summary, names) -> dict:
+    """The named fields of a MomentSummary, then corr, "undefined" where it is None."""
+    values = {name: getattr(summary, name) for name in names}
+    values["corr"] = "undefined" if summary.corr is None else summary.corr
+    return values
+
+
+def _write(args, head: dict, result, blocks) -> None:
+    """Write one command's output in --format, as the module docstring says.
+
+    JSON is ``{**head, "result": result()}``; CSV joins the blocks of
+    ``blocks()``, each a list of lines. Only the requested format's callable runs.
+    """
+    if args.format == "json":
+        text = json.dumps({**head, "result": result()}, indent=2, default=_json_value)
+    else:
+        text = "\n\n".join("\n".join(block) for block in blocks())
+    _emit(text + "\n", args.output)
 
 
 def _emit(text: str, path) -> None:
@@ -221,36 +245,33 @@ def cmd_pmf(args) -> int:
         _law_cells([c for row in dist.counts for c in row], dist.scale, base),
     )
     marginals = [
-        (name, enumerate(_law_cells(law.counts, law.scale, base)))
-        for name, law in (
-            ("active", marginal_pmf(params, Side.ACTIVE)),
-            ("passive", marginal_pmf(params, Side.PASSIVE)),
-        )
+        (law.side.value, enumerate(_law_cells(law.counts, law.scale, base)))
+        for law in [marginal_pmf(params, side) for side in Side]
     ]
-
-    if args.format == "json":
-        result = {
+    _write(
+        args,
+        {"params": params, "mode": "exact"},
+        lambda: {
             "joint": [
                 {"a": a, "b": b, "prob": {"num": num, "den": den}}
                 for (a, b), (num, den, _) in joint
-            ]
-        }
-        for name, cells in marginals:
-            result[f"marginal_{name}"] = [
-                {"degree": degree, "prob": {"num": num, "den": den}}
-                for degree, (num, den, _) in cells
-            ]
-        payload = {"params": _params_json(params), "mode": "exact", "result": result}
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-        return EXIT_OK
-
-    lines = ["a,b,prob_rational,prob_decimal"]
-    lines += [f"{a},{b},{num}/{den},{dec}" for (a, b), (num, den, dec) in joint]
-    lines.append("")
-    lines.append("side,degree,prob_rational,prob_decimal")
-    for name, cells in marginals:
-        lines += [f"{name},{degree},{num}/{den},{dec}" for degree, (num, den, dec) in cells]
-    _emit("\n".join(lines) + "\n", args.output)
+            ],
+            **{
+                f"marginal_{name}": [
+                    {"degree": degree, "prob": {"num": num, "den": den}}
+                    for degree, (num, den, _) in cells
+                ]
+                for name, cells in marginals
+            },
+        },
+        lambda: [
+            ["a,b,prob_rational,prob_decimal",
+             *(f"{a},{b},{num}/{den},{dec}" for (a, b), (num, den, dec) in joint)],
+            ["side,degree,prob_rational,prob_decimal",
+             *(f"{name},{degree},{num}/{den},{dec}"
+               for name, cells in marginals for degree, (num, den, dec) in cells)],
+        ],
+    )
     return EXIT_OK
 
 
@@ -259,32 +280,17 @@ def cmd_moments(args) -> int:
     mode = Mode.EXACT if args.mode == "exact" else Mode.FLOAT
     if mode is Mode.EXACT and _means_past_digit_limit(params):
         raise _too_many_digits()
-    summary = moments(params, mode)
-    fields = [
-        ("mean_x", summary.mean_x),
-        ("mean_y", summary.mean_y),
-        ("var_x", summary.var_x),
-        ("var_y", summary.var_y),
-        ("cov", summary.cov),
-    ]
-
-    if args.format == "json":
-        result = {
-            name: _json_frac(value) if mode is Mode.EXACT else float(value)
-            for name, value in fields
-        }
-        result["corr"] = "undefined" if summary.corr is None else summary.corr
-        payload = {"params": _params_json(params), "mode": mode.value, "result": result}
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-        return EXIT_OK
-
-    lines = ["quantity,value_rational,value_decimal"]
-    for name, value in fields:
-        rational = _frac(value) if mode is Mode.EXACT else ""
-        lines.append(f"{name},{rational},{_dec(value)}")
-    corr = "undefined" if summary.corr is None else _dec(summary.corr)
-    lines.append(f"corr,,{corr}")
-    _emit("\n".join(lines) + "\n", args.output)
+    values = _summary(moments(params, mode), ("mean_x", "mean_y", "var_x", "var_y", "cov"))
+    _write(
+        args,
+        {"params": params, "mode": mode.value},
+        lambda: values,
+        lambda: [[
+            "quantity,value_rational,value_decimal",
+            *(f"{name},{_frac(value) if isinstance(value, Fraction) else ''},{_dec(value)}"
+              for name, value in values.items()),
+        ]],
+    )
     return EXIT_OK
 
 
@@ -304,50 +310,38 @@ def cmd_simulate(args) -> int:
     emp = empirical_joint(params, args.trials, args.seed)
 
     cap = _exact_cap()
-    metrics = None
+    metrics = {}
     if params.n <= cap and params.m <= cap:
         dist = joint_pmf(params)
-        tv = tv_distance(dist, emp)
+        metrics["tv_distance"] = tv_distance(dist, emp)
         try:
             statistic, dof = chi_square(dist, emp)
-            metrics = (tv, _dec(statistic), str(dof))
+            chi = (_dec(statistic), str(dof))
         except ValueError:
-            metrics = (tv, "undefined", "undefined")
+            chi = ("undefined", "undefined")
+        metrics["chi_square_statistic"], metrics["chi_square_dof"] = chi
 
-    if args.format == "json":
-        result = {
+    _write(
+        args,
+        {"params": params, "mode": "exact"},
+        lambda: {
             "counts": [list(row) for row in emp.counts],
             "trials": emp.trials,
             "seed": emp.seed,
-        }
-        if metrics is not None:
-            tv, stat, dof = metrics
-            result["tv_distance"] = tv
-            result["chi_square_statistic"] = stat
-            result["chi_square_dof"] = dof
-        payload = {"params": _params_json(params), "mode": "exact", "result": result}
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-        return EXIT_OK
-
-    lines = ["x,y,count"]
-    for x in range(params.n):
-        for y in range(params.m):
-            lines.append(f"{x},{y},{emp.counts[x][y]}")
-    lines.append("")
-    lines.append("metric,value")
-    lines.append(f"trials,{emp.trials}")
-    lines.append(f"seed,{emp.seed}")
-    if metrics is not None:
-        tv, stat, dof = metrics
-        lines.append(f"tv_distance,{_dec(tv)}")
-        lines.append(f"chi_square_statistic,{stat}")
-        lines.append(f"chi_square_dof,{dof}")
-    _emit("\n".join(lines) + "\n", args.output)
+            **metrics,
+        },
+        lambda: [
+            ["x,y,count", *(f"{x},{y},{count}" for x, row in enumerate(emp.counts)
+                            for y, count in enumerate(row))],
+            ["metric,value", f"trials,{emp.trials}", f"seed,{emp.seed}",
+             *(f"{name},{_dec(value)}" for name, value in metrics.items())],
+        ],
+    )
     return EXIT_OK
 
 
 def _formula_check(name: str, mismatches) -> tuple:
-    """(name, passed) for one comparison of the closed forms with enumeration.
+    """(name, "PASS" or "FAIL") for one comparison of the closed forms with enumeration.
 
     ``mismatches`` yields a description of each disagreement; the first one,
     if any, goes to stderr. A wrong closed form can yield a table that no
@@ -358,10 +352,10 @@ def _formula_check(name: str, mismatches) -> tuple:
         first = next(mismatches(), None)
     except ValueError as exc:
         print(f"{name}: {exc}", file=sys.stderr)
-        return name, False
+        return name, "FAIL"
     if first is not None:
         print(f"{name}: first mismatch at {first}", file=sys.stderr)
-    return name, first is None
+    return name, "PASS" if first is None else "FAIL"
 
 
 def cmd_verify(args) -> int:
@@ -409,23 +403,18 @@ def cmd_verify(args) -> int:
         _formula_check("pgf_transform_identity", transform_mismatches),
     ]
 
-    all_ok = all(ok for _, ok in checks)
-    if args.format == "json":
-        payload = {
-            "params": _params_json(params),
+    verdict = "PASS" if all(status == "PASS" for _, status in checks) else "FAIL"
+    _write(
+        args,
+        {
+            "params": params,
             "mode": "exact",
-            "checks": [
-                {"name": name, "status": "PASS" if ok else "FAIL"} for name, ok in checks
-            ],
-            "result": "PASS" if all_ok else "FAIL",
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    else:
-        lines = ["check,status"]
-        for name, ok in checks:
-            lines.append(f"{name},{'PASS' if ok else 'FAIL'}")
-        _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+            "checks": [{"name": name, "status": status} for name, status in checks],
+        },
+        lambda: verdict,
+        lambda: [["check,status", *(f"{name},{status}" for name, status in checks)]],
+    )
+    return EXIT_OK if verdict == "PASS" else EXIT_CHECK_FAILED
 
 
 def _parse_grid(text: str) -> list:
@@ -459,30 +448,16 @@ def cmd_scan(args) -> int:
     # decimals, but the exact integers behind them are just as large.
     if mode is Mode.EXACT and any(map(_means_past_digit_limit, points)):
         raise _too_many_digits()
-    rows = [(params.p, moments(params, mode)) for params in points]
-
-    if args.format == "json":
-        result = []
-        for p, s in rows:
-            entry = {"p": _json_frac(p)}
-            for name in ("mean_x", "mean_y", "cov"):
-                value = getattr(s, name)
-                entry[name] = _json_frac(value) if mode is Mode.EXACT else float(value)
-            entry["corr"] = "undefined" if s.corr is None else s.corr
-            result.append(entry)
-        payload = {
-            "params": {"n": args.n, "m": args.m, "p_grid": args.p_grid},
-            "mode": mode.value,
-            "result": result,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-        return EXIT_OK
-
-    lines = ["p,mean_x,mean_y,cov,corr"]
-    for p, s in rows:
-        corr = "undefined" if s.corr is None else _dec(s.corr)
-        lines.append(f"{_dec(p)},{_dec(s.mean_x)},{_dec(s.mean_y)},{_dec(s.cov)},{corr}")
-    _emit("\n".join(lines) + "\n", args.output)
+    rows = [
+        {"p": params.p, **_summary(moments(params, mode), ("mean_x", "mean_y", "cov"))}
+        for params in points
+    ]
+    _write(
+        args,
+        {"params": {"n": args.n, "m": args.m, "p_grid": args.p_grid}, "mode": mode.value},
+        lambda: rows,
+        lambda: [["p,mean_x,mean_y,cov,corr", *(",".join(map(_dec, r.values())) for r in rows)]],
+    )
     return EXIT_OK
 
 
