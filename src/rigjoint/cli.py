@@ -115,6 +115,20 @@ def _means_past_digit_limit(params: ModelParams) -> bool:
     )
 
 
+def _check_float_weights(n: int, m: int) -> None:
+    """Refuse float moments where an integer weight does not convert to a double.
+
+    Float ``moments`` reads N[k][l] for k + l <= 2, each of which multiplies
+    the integer C(n-1,k) C(m-1,l) into a double (``pgf._closed_form``).
+    """
+    try:
+        float(max(n - 1, m - 1, math.comb(n - 1, 2), math.comb(m - 1, 2), (n - 1) * (m - 1)))
+    except OverflowError:
+        raise SizeCapError(
+            "float moments need C(n-1,2), C(m-1,2) and (n-1)(m-1) within a double's range"
+        ) from None
+
+
 def _scale_past_digit_limit(params: ModelParams) -> bool:
     """Whether ``pmf`` would print an integer past the int-to-str limit.
 
@@ -280,6 +294,8 @@ def cmd_moments(args) -> int:
     mode = Mode.EXACT if args.mode == "exact" else Mode.FLOAT
     if mode is Mode.EXACT and _means_past_digit_limit(params):
         raise _too_many_digits()
+    if mode is Mode.FLOAT:
+        _check_float_weights(params.n, params.m)
     values = _summary(moments(params, mode), ("mean_x", "mean_y", "var_x", "var_y", "cov"))
     _write(
         args,
@@ -433,7 +449,11 @@ def _parse_grid(text: str) -> list:
         raise ValueError("--p-grid must stay within [0, 1]")
     count = (stop - start) // step + 1
     if count > MAX_GRID_POINTS:
-        raise SizeCapError(f"--p-grid has {count} points; scan is capped at {MAX_GRID_POINTS}")
+        try:
+            points = str(count)
+        except ValueError:  # past the int-to-str limit
+            points = f"at least 10^{sys.get_int_max_str_digits()}"
+        raise SizeCapError(f"--p-grid has {points} points; scan is capped at {MAX_GRID_POINTS}")
     return [start + i * step for i in range(count)]
 
 
@@ -448,6 +468,8 @@ def cmd_scan(args) -> int:
     # decimals, but the exact integers behind them are just as large.
     if mode is Mode.EXACT and any(map(_means_past_digit_limit, points)):
         raise _too_many_digits()
+    if mode is Mode.FLOAT:
+        _check_float_weights(args.n, args.m)
     rows = [
         {"p": params.p, **_summary(moments(params, mode), ("mean_x", "mean_y", "cov"))}
         for params in points

@@ -764,6 +764,49 @@ class TestScanCommand:
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_grid_count_past_int_str_limit_exits_3(self, capsys, fmt):
+        # the grid has 10^5000 + 1 points, whose digits str() refuses to make
+        argv = ["scan", "--n", "1", "--m", "1", "--p-grid", "0:1:1e-5000", "--format", fmt]
+        code, out, err = run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err == "error: --p-grid has at least 10^4300 points; scan is capped at 10000\n"
+
+
+# Float moments multiply each weight C(n-1,k) C(m-1,l), k + l <= 2, into a double.
+# For n = m the largest, (n-1)^2, leaves the double range between n = 1.34e154 and
+# 1.35e154; for m = 2 the largest, C(n-1,2), leaves it between 1.89e154 and 1.90e154.
+@pytest.mark.parametrize(
+    "n,m,code",
+    [
+        (134 * 10**152, 134 * 10**152, 0),
+        (135 * 10**152, 135 * 10**152, 3),
+        (189 * 10**152, 2, 0),
+        (190 * 10**152, 2, 3),
+    ],
+    ids=["square-in", "square-out", "m2-in", "m2-out"],
+)
+@pytest.mark.parametrize(
+    "command", [["moments", "--p", "1/2"], ["scan", "--p-grid", "1/2:1/2:1"]], ids=lambda c: c[0]
+)
+def test_float_moments_refuse_weights_past_double(capsys, monkeypatch, command, n, m, code):
+    if code == 3:
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("moments was computed although float mode refuses it")
+
+        monkeypatch.setattr(cli, "moments", must_not_run)
+    argv = command + ["--n", str(n), "--m", str(m), "--mode", "float"]
+    got, out, err = run(capsys, argv)
+    assert got == code
+    if code == 3:
+        assert out == ""
+        assert err == (
+            "error: float moments need C(n-1,2), C(m-1,2) and (n-1)(m-1) within a double's range\n"
+        )
+    else:
+        assert err == "" and out.count("\n") > 1
+
 
 # Run in a fresh interpreter with numpy blocked: each argv's exit code and stdout digest.
 _BLOCKED_NUMPY_RUN = textwrap.dedent(
