@@ -164,7 +164,7 @@ def _json_value(value) -> dict:
     return {"num": _digits(value.numerator), "den": _digits(value.denominator)}
 
 
-def _summary(summary, names) -> dict:
+def _moment_fields(summary, names) -> dict:
     """The named fields of a MomentSummary, then corr, "undefined" where it is None."""
     values = {name: getattr(summary, name) for name in names}
     values["corr"] = "undefined" if summary.corr is None else summary.corr
@@ -296,7 +296,7 @@ def cmd_moments(args) -> int:
         raise _too_many_digits()
     if mode is Mode.FLOAT:
         _check_float_weights(params.n, params.m)
-    values = _summary(moments(params, mode), ("mean_x", "mean_y", "var_x", "var_y", "cov"))
+    values = _moment_fields(moments(params, mode), ("mean_x", "mean_y", "var_x", "var_y", "cov"))
     _write(
         args,
         {"params": params, "mode": mode.value},
@@ -471,7 +471,7 @@ def cmd_scan(args) -> int:
     if mode is Mode.FLOAT:
         _check_float_weights(args.n, args.m)
     rows = [
-        {"p": params.p, **_summary(moments(params, mode), ("mean_x", "mean_y", "cov"))}
+        {"p": params.p, **_moment_fields(moments(params, mode), ("mean_x", "mean_y", "cov"))}
         for params in points
     ]
     _write(
