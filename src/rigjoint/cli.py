@@ -1,10 +1,12 @@
 """Command line surface: exact pmf tables, moments, Monte Carlo, verification.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments, 3 size
-cap exceeded. Every command writes its output once, through ``_write``, to
-stdout or --output, and identical invocations write identical bytes. CSV, the
-default, is one or more blocks, each a header line and its rows, with one
-blank line between blocks. --format json writes one object
+cap exceeded. Every refusal before work comes from ``_admit``, the one place
+that states a bound; each ``cmd_*`` function gets the admitted model from it
+and only computes and renders. Every command writes its output once, through
+``_write``, to stdout or --output, and identical invocations write identical
+bytes. CSV, the default, is one or more blocks, each a header line and its
+rows, with one blank line between blocks. --format json writes one object
 {"params", "mode"[, "checks"], "result"}, indented by 2, in which an exact
 fraction is {"num", "den"} as decimal digit strings.
 """
@@ -15,6 +17,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -51,6 +54,25 @@ MAX_SIMULATE_CELLS = 1_000_000
 # or 23 s on one CPU.
 MAX_SIMULATE_WORDS = 10**9
 
+# Largest decimal exponent, of either sign, in --p or a --p-grid part, where Fraction()
+# builds 10^|exponent|: on 2 vCPUs 1e-100000 parsed in 0.01 s, 1e-1000000 in 0.33 s.
+MAX_P_EXPONENT = 100_000
+
+# Most digits of den(p)^max(n, m), the power moment_entry builds before the Fraction
+# cancels it, that exact moments may reach at n = 1 or m = 1 (times the grid points in
+# scan); elsewhere the int-to-str bound on the means is tighter. On 2 vCPUs `moments
+# --n 1 --p 1/3` took 0.09 s at 1.4e5 digits, 0.54 s at 4.8e5 and 1.7 s at 9.5e5.
+MAX_LINE_MOMENT_DIGITS = 500_000
+
+# A decimal with an exponent, as Fraction() reads one.
+_EXPONENT = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?e[-+]?(\d+(?:_\d+)*)\s*",
+    re.IGNORECASE,
+)
+
+# Magnitudes from here on round past the largest double, (2^53 - 1) 2^971.
+_PAST_DOUBLE = 2**1024 - 2**970
+
 # Fixed rational probes at which verify compares the joint PGF with the
 # enumerated pmf's polynomial.
 _VERIFY_POINTS = [
@@ -62,22 +84,21 @@ _VERIFY_POINTS = [
 ]
 
 
-def _exact_cap() -> int:
-    raw = os.environ.get(ENV_EXACT_CAP)
-    if raw is None:
-        return DEFAULT_EXACT_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_EXACT_CAP} must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ValueError(f"{ENV_EXACT_CAP} must be positive, got {cap}")
-    return cap
-
-
 def _dec(value) -> str:
-    """A number to 17 significant digits; a word such as "undefined" as it is."""
-    return value if isinstance(value, str) else f"{float(value):.17g}"
+    """A number to 17 significant digits as "%.17g" prints it; a word such as "undefined" as it is.
+
+    A value that rounds to a finite double prints as that double does: 1/3 as
+    0.33333333333333331, not its own 17-digit rounding. Past the doubles, where
+    float() raises, only an integer arrives (``_admit`` leaves den(p) = 1 there),
+    rounded half to even.
+    """
+    if isinstance(value, str):
+        return value
+    if isinstance(value, float) or abs(value) < _PAST_DOUBLE:
+        return f"{float(value):.17g}"
+    from decimal import Decimal  # exact for any int, and not loaded at start-up
+    mantissa, exponent = format(Decimal(int(value)), ".17g").split("e")
+    return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
 
 
 def _too_many_digits() -> SizeCapError:
@@ -95,62 +116,42 @@ def _digits(value: int) -> str:
         raise _too_many_digits() from exc
 
 
-def _means_past_digit_limit(params: ModelParams) -> bool:
-    """Whether exact E[X] or E[Y] has a denominator past the int-to-str limit.
+def _power_past(base: int, exp: int, digits: int, divisor: int = 1) -> bool:
+    """Whether base^exp / divisor >= 10^digits, for exp, divisor >= 1; False if base < 2.
 
-    For p = a/b in lowest terms with b >= 2 and n >= 2, E[X] = (n-1)(1-(1-p^2)^m)
-    has reduced denominator b^(2m) / gcd(n-1, b^(2m)) >= b^(2m) / (n-1); E[Y] is
-    the same with n and m swapped. The test b^(2m) / (n-1) >= 10^limit is made
-    as 2m log10(b) >= limit + log10(n-1), after one more log10, so that no size
-    argparse accepts overflows a float.
+    digits = 0, Python's int-to-str setting for no limit, bounds nothing. The test
+    compares log2(exp) + log2(log2(base)) with log2(digits log2(10) + log2(divisor)),
+    which overflows at no size argparse accepts, and is exact where the two are too
+    close to call.
     """
-    limit, b = sys.get_int_max_str_digits(), params.p.denominator
-    if limit == 0 or b < 2:
+    if digits == 0 or base < 2:
         return False
-    return any(
-        size >= 2
-        and math.log10(2 * other) + math.log10(math.log10(b))
-        >= math.log10(limit + math.log10(size - 1))
-        for size, other in ((params.n, params.m), (params.m, params.n))
+    gap = (
+        math.log2(exp) + math.log2(math.log2(base))
+        - math.log2(digits * math.log2(10) + math.log2(divisor))
     )
-
-
-def _check_float_weights(n: int, m: int) -> None:
-    """Refuse float moments where an integer weight does not convert to a double.
-
-    Float ``moments`` reads N[k][l] for k + l <= 2, each of which multiplies
-    the integer C(n-1,k) C(m-1,l) into a double (``pgf._closed_form``).
-    """
-    try:
-        float(max(n - 1, m - 1, math.comb(n - 1, 2), math.comb(m - 1, 2), (n - 1) * (m - 1)))
-    except OverflowError:
-        raise SizeCapError(
-            "float moments need C(n-1,2), C(m-1,2) and (n-1)(m-1) within a double's range"
-        ) from None
-
-
-def _scale_past_digit_limit(params: ModelParams) -> bool:
-    """Whether ``pmf`` would print an integer past the int-to-str limit.
-
-    Every integer ``pmf`` prints is at most its scale b^(n*m), b = den(p).
-    With p = a/b in lowest terms, c = b - a and n >= 2,
-    P(X=0) = sum_d C(m,d) a^d c^(m-d+d(n-1)) b^((m-d)(n-1)) / b^(n*m): each
-    term with d < m carries a factor b and the d = m term a^m c^(m(n-1)) is
-    coprime to b, so P(X=0) in lowest terms has the whole scale as its
-    denominator; so has P(Y=0) when m >= 2. Hence for n*m >= 2 the limit is
-    passed iff scale >= 10^limit. That is decided on
-    log2(n*m) + log2(log2(b)) against log2(limit * log2(10)), which
-    overflows at no size, and exactly only where the two are too close to
-    call, when the scale is about 10^limit.
-    """
-    limit, b = sys.get_int_max_str_digits(), params.p.denominator
-    cells = params.n * params.m
-    if limit == 0 or b < 2 or cells < 2:
-        return False
-    gap = math.log2(cells) + math.log2(math.log2(b)) - math.log2(limit * math.log2(10))
     if abs(gap) > 1e-9:
         return gap > 0
-    return b**cells >= 10**limit
+    return base**exp >= divisor * 10**digits
+
+
+def _exact_law_refusal(params: ModelParams, cap: int) -> SizeCapError | None:
+    """Why ``pmf`` cannot compute and print the exact law of ``params``, or None.
+
+    n and m are capped at ``cap``. Every integer ``pmf`` prints is at most its
+    scale b^(n*m), b = den(p). With p = a/b in lowest terms, c = b - a and n >= 2,
+    P(X=0) = sum_d C(m,d) a^d c^(m-d+d(n-1)) b^((m-d)(n-1)) / b^(n*m): each term
+    with d < m carries a factor b and the d = m term a^m c^(m(n-1)) is coprime
+    to b, so P(X=0) in lowest terms has the whole scale as its denominator; so
+    has P(Y=0) when m >= 2. Hence for n*m >= 2 the int-to-str limit is passed
+    iff scale >= 10^limit. ``simulate`` fits the exact law where this is None.
+    """
+    if params.n > cap or params.m > cap:
+        return SizeCapError(f"exact pmf capped at n, m <= {cap} (override with {ENV_EXACT_CAP})")
+    cells = params.n * params.m
+    if cells >= 2 and _power_past(params.p.denominator, cells, sys.get_int_max_str_digits()):
+        return _too_many_digits()
+    return None
 
 
 def _frac(value: Fraction) -> str:
@@ -172,38 +173,23 @@ def _moment_fields(summary, names) -> dict:
 
 
 def _write(args, head: dict, result, blocks) -> None:
-    """Write one command's output in --format, as the module docstring says.
+    """Write one command's output in --format to --output, as the module docstring says.
 
     JSON is ``{**head, "result": result()}``; CSV joins the blocks of
     ``blocks()``, each a list of lines. Only the requested format's callable runs.
     """
     if args.format == "json":
-        text = json.dumps({**head, "result": result()}, indent=2, default=_json_value)
+        text = json.dumps({**head, "result": result()}, indent=2, default=_json_value) + "\n"
     else:
-        text = "\n\n".join("\n".join(block) for block in blocks())
-    _emit(text + "\n", args.output)
-
-
-def _emit(text: str, path) -> None:
-    if not path:
+        text = "\n\n".join("\n".join(block) for block in blocks()) + "\n"
+    if not args.output:
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w") as fh:
+        with open(args.output, "w") as fh:
             fh.write(text)
     except OSError as exc:  # a usage error (exit 2), not a failed check (exit 1)
-        raise ValueError(f"cannot write --output {path}: {exc.strerror or exc}") from exc
-
-
-def _build_params(args) -> ModelParams:
-    if args.n < 1 or args.m < 1:
-        raise ValueError("--n and --m must be at least 1")
-    return ModelParams(args.n, args.m, parse_probability(args.p))
-
-
-def _require_exact(args, command: str) -> None:
-    if args.mode == "float":
-        raise ValueError(f"{command} requires exact mode; float pmf extraction is unsupported")
+        raise ValueError(f"cannot write --output {args.output}: {exc.strerror or exc}") from exc
 
 
 def _law_cells(counts, scale: int, base: int):
@@ -237,21 +223,12 @@ def _law_cells(counts, scale: int, base: int):
         yield _digits(c // g), den_digits[g], f"{c / scale:.17g}"
 
 
-def cmd_pmf(args) -> int:
+def cmd_pmf(args, params: ModelParams) -> int:
     """Print the exact joint law and both marginals in lowest terms.
 
     Rendered straight from each law's integer counts and scale (``_law_cells``);
     the ``Fraction`` view ``.pmf`` is for library callers.
     """
-    _require_exact(args, "pmf")
-    params = _build_params(args)
-    cap = _exact_cap()
-    if params.n > cap or params.m > cap:
-        raise SizeCapError(
-            f"exact pmf capped at n, m <= {cap} (override with {ENV_EXACT_CAP})"
-        )
-    if _scale_past_digit_limit(params):
-        raise _too_many_digits()
     dist = joint_pmf(params)
     base = params.p.denominator
     joint = zip(
@@ -289,13 +266,8 @@ def cmd_pmf(args) -> int:
     return EXIT_OK
 
 
-def cmd_moments(args) -> int:
-    params = _build_params(args)
-    mode = Mode.EXACT if args.mode == "exact" else Mode.FLOAT
-    if mode is Mode.EXACT and _means_past_digit_limit(params):
-        raise _too_many_digits()
-    if mode is Mode.FLOAT:
-        _check_float_weights(params.n, params.m)
+def cmd_moments(args, params: ModelParams) -> int:
+    mode = Mode(args.mode)
     values = _moment_fields(moments(params, mode), ("mean_x", "mean_y", "var_x", "var_y", "cov"))
     _write(
         args,
@@ -310,24 +282,10 @@ def cmd_moments(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    params = _build_params(args)
-    if params.n * params.m > MAX_SIMULATE_CELLS:
-        raise SizeCapError(
-            f"simulate tallies n*m = {params.n * params.m} cells; capped at {MAX_SIMULATE_CELLS}"
-        )
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
-    words = args.trials * sample_words(params)
-    if words > MAX_SIMULATE_WORDS:
-        raise SizeCapError(
-            f"simulate would draw about {words:.3g} words; capped at {MAX_SIMULATE_WORDS:.0e}"
-        )
+def cmd_simulate(args, params: ModelParams, fit: bool) -> int:
     emp = empirical_joint(params, args.trials, args.seed)
-
-    cap = _exact_cap()
     metrics = {}
-    if params.n <= cap and params.m <= cap:
+    if fit:
         dist = joint_pmf(params)
         metrics["tv_distance"] = tv_distance(dist, emp)
         try:
@@ -374,15 +332,8 @@ def _formula_check(name: str, mismatches) -> tuple:
     return name, "PASS" if first is None else "FAIL"
 
 
-def cmd_verify(args) -> int:
-    _require_exact(args, "verify")
-    params = _build_params(args)
+def cmd_verify(args, params: ModelParams) -> int:
     n, m = params.n, params.m
-    if n * m > ENUMERATION_CAP:
-        raise SizeCapError(
-            f"verify enumerates all graphs and needs n*m <= {ENUMERATION_CAP}"
-        )
-
     oracle = exhaustive_joint(params)
 
     def formula_mismatches():
@@ -433,43 +384,8 @@ def cmd_verify(args) -> int:
     return EXIT_OK if verdict == "PASS" else EXIT_CHECK_FAILED
 
 
-def _parse_grid(text: str) -> list:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"--p-grid must be start:stop:step, got {text!r}")
-    try:
-        start, stop, step = (Fraction(part) for part in parts)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"--p-grid has a non-numeric component: {text!r}")
-    if step <= 0:
-        raise ValueError("--p-grid step must be positive")
-    if start > stop:
-        raise ValueError("--p-grid start must not exceed stop")
-    if start < 0 or stop > 1:
-        raise ValueError("--p-grid must stay within [0, 1]")
-    count = (stop - start) // step + 1
-    if count > MAX_GRID_POINTS:
-        try:
-            points = str(count)
-        except ValueError:  # past the int-to-str limit
-            points = f"at least 10^{sys.get_int_max_str_digits()}"
-        raise SizeCapError(f"--p-grid has {points} points; scan is capped at {MAX_GRID_POINTS}")
-    return [start + i * step for i in range(count)]
-
-
-def cmd_scan(args) -> int:
-    if args.n < 1 or args.m < 1:
-        raise ValueError("--n and --m must be at least 1")
-    grid = _parse_grid(args.p_grid)
-    mode = Mode.EXACT if args.mode == "exact" else Mode.FLOAT
-    points = [ModelParams(args.n, args.m, p) for p in grid]
-    # Refuse before any work what exact `moments` refuses: a grid point whose
-    # E[X] or E[Y] could not be printed as a fraction. CSV prints only
-    # decimals, but the exact integers behind them are just as large.
-    if mode is Mode.EXACT and any(map(_means_past_digit_limit, points)):
-        raise _too_many_digits()
-    if mode is Mode.FLOAT:
-        _check_float_weights(args.n, args.m)
+def cmd_scan(args, points: list) -> int:
+    mode = Mode(args.mode)
     rows = [
         {"p": params.p, **_moment_fields(moments(params, mode), ("mean_x", "mean_y", "cov"))}
         for params in points
@@ -483,15 +399,99 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser, with_p=True, with_mode=True):
-    parser.add_argument("--n", type=int, required=True, help="number of vertices")
-    parser.add_argument("--m", type=int, required=True, help="number of objects")
-    if with_p:
-        parser.add_argument("--p", required=True, help="edge probability, 'a/b' or decimal")
-    if with_mode:
-        parser.add_argument("--mode", choices=["exact", "float"], default="exact")
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
-    parser.add_argument("--output", default=None, help="write to file instead of stdout")
+def _admit(args) -> dict:
+    """Refuse, before any work, an input past any bound; else ``args.func``'s arguments.
+
+    Every bound is stated here once: SizeCapError exits 3, ValueError 2. The
+    arguments are ``params``, the model, or for scan ``points``, one model per
+    grid point; simulate also gets ``fit``, whether pmf admits the exact law.
+    """
+    command, n, m = args.command, args.n, args.m
+    mode = Mode(getattr(args, "mode", "exact"))
+    if command in ("pmf", "verify") and mode is Mode.FLOAT:
+        raise ValueError(f"{command} requires exact mode; float pmf extraction is unsupported")
+    if n < 1 or m < 1:
+        raise ValueError("--n and --m must be at least 1")
+    texts = args.p_grid.split(":") if command == "scan" else [args.p]
+    if command == "scan" and len(texts) != 3:
+        raise ValueError(f"--p-grid must be start:stop:step, got {args.p_grid!r}")
+    for text in texts:
+        exponent = _EXPONENT.fullmatch(text)
+        try:
+            past = exponent is not None and int(exponent[1]) > MAX_P_EXPONENT
+        except ValueError:  # past the int-to-str limit; Fraction() refuses the text too
+            past = False
+        if past:
+            raise SizeCapError(f"--p and --p-grid take decimal exponents up to {MAX_P_EXPONENT}")
+    if command != "scan":
+        points = [ModelParams(n, m, parse_probability(args.p))]
+    else:
+        try:
+            start, stop, step = map(Fraction, texts)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"--p-grid has a non-numeric component: {args.p_grid!r}")
+        if step <= 0:
+            raise ValueError("--p-grid step must be positive")
+        if start > stop:
+            raise ValueError("--p-grid start must not exceed stop")
+        if start < 0 or stop > 1:
+            raise ValueError("--p-grid must stay within [0, 1]")
+        count = (stop - start) // step + 1
+        if count > MAX_GRID_POINTS:
+            limit = sys.get_int_max_str_digits()
+            size = f"at least 10^{limit}" if _power_past(count, 1, limit) else str(count)
+            raise SizeCapError(f"--p-grid has {size} points; scan is capped at {MAX_GRID_POINTS}")
+        points = [ModelParams(n, m, start + i * step) for i in range(count)]
+    params = points[0]
+
+    if command == "simulate":
+        if n * m > MAX_SIMULATE_CELLS:
+            raise SizeCapError(
+                f"simulate tallies n*m = {n * m} cells; capped at {MAX_SIMULATE_CELLS}"
+            )
+        if args.trials < 1:
+            raise ValueError("--trials must be at least 1")
+        words = args.trials * sample_words(params)
+        if words > MAX_SIMULATE_WORDS:
+            raise SizeCapError(
+                f"simulate would draw about {words:.3g} words; capped at {MAX_SIMULATE_WORDS:.0e}"
+            )
+    if command in ("pmf", "simulate"):
+        raw = os.environ.get(ENV_EXACT_CAP, str(DEFAULT_EXACT_CAP))
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise ValueError(f"{ENV_EXACT_CAP} must be an integer, got {raw!r}")
+        if cap < 1:
+            raise ValueError(f"{ENV_EXACT_CAP} must be positive, got {cap}")
+        refusal = _exact_law_refusal(params, cap)
+        if command == "simulate":
+            return {"params": params, "fit": refusal is None}
+        if refusal:
+            raise refusal
+    if command == "verify" and n * m > ENUMERATION_CAP:
+        raise SizeCapError(f"verify enumerates all graphs and needs n*m <= {ENUMERATION_CAP}")
+    if command in ("moments", "scan") and mode is Mode.FLOAT:
+        # each N[k][l], k + l <= 2, multiplies C(n-1,k) C(m-1,l) into a double
+        try:
+            float(max(n - 1, m - 1, math.comb(n - 1, 2), math.comb(m - 1, 2), (n - 1) * (m - 1)))
+        except OverflowError:
+            raise SizeCapError(
+                "float moments need C(n-1,2), C(m-1,2) and (n-1)(m-1) within a double's range"
+            ) from None
+    elif command in ("moments", "scan"):
+        # For p = a/b in lowest terms, b >= 2 and n >= 2, E[X] = (n-1)(1-(1-p^2)^m)
+        # has reduced denominator b^(2m) / gcd(n-1, b^(2m)) >= b^(2m) / (n-1), and
+        # E[Y] likewise; CSV prints only decimals, but the integers are as large.
+        limit = sys.get_int_max_str_digits()
+        if any(size >= 2 and _power_past(point.p.denominator, 2 * other, limit, size - 1)
+               for point in points for size, other in ((n, m), (m, n))):
+            raise _too_many_digits()
+        b = max(point.p.denominator for point in points)
+        if min(n, m) == 1 and _power_past(b, max(n, m) * len(points), MAX_LINE_MOMENT_DIGITS):
+            raise SizeCapError(f"exact moments at n = 1 or m = 1 need den(p)^max(n, m) below "
+                               f"10^{MAX_LINE_MOMENT_DIGITS} (in scan, over the whole grid)")
+    return {"points": points} if command == "scan" else {"params": params}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -500,30 +500,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact joint degree law of the two projections of a random bipartite graph",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_pmf = sub.add_parser("pmf", help="exact joint pmf with both marginals")
-    _add_common(p_pmf)
-    p_pmf.set_defaults(func=cmd_pmf)
-
-    p_mom = sub.add_parser("moments", help="means, variances, covariance, correlation")
-    _add_common(p_mom)
-    p_mom.set_defaults(func=cmd_moments)
-
-    p_sim = sub.add_parser("simulate", help="seeded Monte Carlo tallies plus fit metrics")
-    _add_common(p_sim, with_mode=False)
-    p_sim.add_argument("--trials", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_ver = sub.add_parser("verify", help="check the formulas against full enumeration")
-    _add_common(p_ver)
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_scan = sub.add_parser("scan", help="sweep moments over a grid of p values")
-    _add_common(p_scan, with_p=False)
-    p_scan.add_argument("--p-grid", required=True, help="start:stop:step, e.g. 0:1:0.05")
-    p_scan.set_defaults(func=cmd_scan)
-
+    for func, text in [
+        (cmd_pmf, "exact joint pmf with both marginals"),
+        (cmd_moments, "means, variances, covariance, correlation"),
+        (cmd_simulate, "seeded Monte Carlo tallies plus fit metrics"),
+        (cmd_verify, "check the formulas against full enumeration"),
+        (cmd_scan, "sweep moments over a grid of p values"),
+    ]:
+        command = sub.add_parser(func.__name__[len("cmd_"):], help=text)
+        command.set_defaults(func=func)
+        command.add_argument("--n", type=int, required=True, help="number of vertices")
+        command.add_argument("--m", type=int, required=True, help="number of objects")
+        if func is not cmd_scan:
+            command.add_argument("--p", required=True, help="edge probability, 'a/b' or decimal")
+        if func is not cmd_simulate:
+            command.add_argument("--mode", choices=["exact", "float"], default="exact")
+        command.add_argument("--format", choices=["csv", "json"], default="csv")
+        command.add_argument("--output", default=None, help="write to file instead of stdout")
+        if func is cmd_simulate:
+            command.add_argument("--trials", type=int, required=True)
+            command.add_argument("--seed", type=int, default=0)
+        if func is cmd_scan:
+            command.add_argument("--p-grid", required=True, help="start:stop:step, e.g. 0:1:0.05")
     return parser
 
 
@@ -534,7 +532,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the diagnostic
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(args, **_admit(args))
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE

@@ -139,18 +139,18 @@ def chi_square(
                 pooled_expected += expected
                 pooled_observed += observed
             else:
-                kept.append((expected, observed))
+                kept.append((float(expected), observed))
     if pooled_expected > 0 or pooled_observed > 0:
-        kept.append((pooled_expected, pooled_observed))
+        kept.append((float(pooled_expected), pooled_observed))
     if len(kept) < 2:
         raise ValueError("fewer than 2 cells after pooling; chi-square undefined")
     statistic = 0.0
     for expected, observed in kept:
-        if expected == 0:
-            statistic = math.inf  # observations in a zero-probability region
+        if expected == 0.0:  # or below the doubles: inf with observations, else nothing
+            statistic += math.inf if observed else 0.0
         else:
-            diff = float(observed) - float(expected)
-            statistic += diff * diff / float(expected)
+            diff = float(observed) - expected
+            statistic += diff * diff / expected
     return statistic, len(kept) - 1
 
 

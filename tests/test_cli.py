@@ -140,7 +140,7 @@ class TestPmfDigitBound:
     def test_refuses_before_any_work(self, capsys, monkeypatch, digit_limit_640, n, m, p, fmt):
         argv = ["pmf", "--n", str(n), "--m", str(m), "--p", p, "--format", fmt]
         with monkeypatch.context() as unbounded:
-            unbounded.setattr(cli, "_scale_past_digit_limit", lambda params: False)
+            unbounded.setattr(cli, "_exact_law_refusal", lambda params, cap: None)
             rendered = run(capsys, argv)
         assert rendered[0] == 3 and rendered[1] == ""
         assert "640 digits" in rendered[2]
@@ -163,13 +163,13 @@ class TestPmfDigitBound:
     def test_no_limit_refuses_nothing(self, monkeypatch):
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
         params = pgf.ModelParams(40, 40, Fraction(1, 10**12))
-        assert not cli._scale_past_digit_limit(params)
+        assert cli._exact_law_refusal(params, 40) is None
 
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (1, 2)])
     def test_single_cell_and_lines(self, n, m):
         # n*m = 1 prints only 1/1; a single line still prints the whole scale
         params = pgf.ModelParams(n, m, Fraction(1, 10**4300))
-        assert cli._scale_past_digit_limit(params) is (n * m >= 2)
+        assert (cli._exact_law_refusal(params, 40) is not None) is (n * m >= 2)
 
 
 # Bases den(p) of the law's scale: 1 (p = 0 or 1), primes, prime powers and
@@ -372,6 +372,12 @@ STDOUT_DIGESTS = [
         ["verify", "--n", "1", "--m", "1", "--p", "1"],
         "29fbf902abd5bb10552b8522d51217fbf3766a6c07c9e76ceec7a454e488bc3b",
         id="verify-single-cell-csv",
+    ),
+    # a side of one: exact moments below the admission gate's work bound
+    pytest.param(
+        ["moments", "--n", "1", "--m", "100000", "--p", "1/3"],
+        "d619ba73977bff512daebf2ed3d260b420180006a0f52815661b0d50f2d9392b",
+        id="moments-side-of-one-csv",
     ),
     pytest.param(
         ["verify", "--n", "1", "--m", "1", "--p", "1", "--format", "json"],
@@ -806,6 +812,113 @@ def test_float_moments_refuse_weights_past_double(capsys, monkeypatch, command, 
         )
     else:
         assert err == "" and out.count("\n") > 1
+
+
+def must_not_run(*args, **kwargs):
+    raise AssertionError("work ran although the admission gate refuses the input")
+
+
+class TestAdmission:
+    """Input classes that only ``cli._admit`` bounds, refused before any work."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--n", "1", "--m", "100000000", "--p", "1/3"],
+            ["moments", "--n", "100000000", "--m", "1", "--p", "1/3", "--format", "json"],
+            # each point alone is within the bound, the four together are not
+            ["scan", "--n", "1", "--m", "1000000", "--p-grid", "0:1:1/3"],
+        ],
+        ids=["n1", "m1", "scan-total"],
+    )
+    def test_exact_moments_at_a_side_of_one(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "moments", must_not_run)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and "below 10^500000" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--n", "2", "--m", "2", "--p", "1e-10000000", "--mode", "float"],
+            ["pmf", "--n", "2", "--m", "2", "--p", "1E+100001"],
+            ["scan", "--n", "2", "--m", "2", "--p-grid", "0:1:1e-10000000"],
+        ],
+        ids=["p", "p-positive", "p-grid"],
+    )
+    def test_decimal_exponent_capped_before_parsing(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (3, "")
+        assert err == "error: --p and --p-grid take decimal exponents up to 100000\n"
+
+    def test_decimal_exponent_at_the_cap_is_accepted(self, capsys):
+        argv = ["moments", "--n", "2", "--m", "2", "--p", "1e-100000", "--mode", "float"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and "cov,," in out
+
+    def test_exact_cap_is_read_before_sampling(self, capsys, monkeypatch):
+        monkeypatch.setenv("RIGJOINT_EXACT_CAP", "abc")
+        monkeypatch.setattr(cli, "empirical_joint", must_not_run)
+        argv = ["simulate", "--n", "10", "--m", "10", "--p", "1/5", "--trials", "3000000"]
+        err = "error: RIGJOINT_EXACT_CAP must be an integer, got 'abc'\n"
+        assert run(capsys, argv) == (2, "", err)
+
+    @pytest.mark.parametrize(
+        "n,m,p",
+        [(3, 2, "1/3"), (40, 40, "0.000001"), (20, 20, "1/" + "7" * 200), (41, 2, "1/2"),
+         (1, 40, "1e-300")],
+    )
+    def test_simulate_fits_exactly_where_pmf_admits_the_law(self, capsys, monkeypatch, n, m, p):
+        shape = ["--n", str(n), "--m", str(m), "--p", p]
+        admitted = run(capsys, ["pmf", *shape])[0] == 0
+        if not admitted:
+            monkeypatch.setattr(cli, "joint_pmf", must_not_run)
+        code, out, _ = run(capsys, ["simulate", *shape, "--trials", "1"])
+        assert code == 0
+        assert ("\ntv_distance," in out) is admitted
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_exact_means_past_a_double(self, capsys, fmt):
+        # at p = 1 the moments are integers, E[X] = n - 1 = 10^400 - 1
+        big = 10**400
+        code, out, _ = run(capsys, ["moments", "--n", str(big), "--m", "2", "--p", "1",
+                                    "--format", fmt])
+        assert code == 0
+        if fmt == "json":
+            assert json.loads(out)["result"]["mean_x"] == {"num": str(big - 1), "den": "1"}
+        else:
+            assert f"mean_x,{big - 1}/1,1e+400" in out.splitlines()
+        code, out, _ = run(capsys, ["scan", "--n", str(big), "--m", "2", "--p-grid", "1:1:1"])
+        assert code == 0 and out.splitlines()[1] == "1,1e+400,1,0,undefined"
+
+
+class TestDec:
+    @pytest.mark.parametrize(
+        "value,text",
+        [
+            # within the doubles: the digits of the nearest double, as pinned outputs print
+            (Fraction(1, 3), "0.33333333333333331"),
+            (2**53 + 1, "9007199254740992"),
+            (cli._PAST_DOUBLE - 1, "1.7976931348623157e+308"),
+            # past them: the exact integer rounded half to even
+            (cli._PAST_DOUBLE, "1.7976931348623158e+308"),
+            (10**400 - 1, "1e+400"),
+            (Fraction(-3 * 10**400 + 5), "-3e+400"),
+            (123456789012345645 * 10**299, "1.2345678901234564e+316"),
+            (123456789012345655 * 10**299, "1.2345678901234566e+316"),
+            (123456789012345645 * 10**299 + 1, "1.2345678901234565e+316"),
+        ],
+    )
+    def test_pinned(self, value, text):
+        assert cli._dec(value) == text
+
+    @given(st.integers(cli._PAST_DOUBLE, 10**6000))
+    def test_within_half_a_unit_of_the_17th_digit(self, value):
+        text = cli._dec(value)
+        exponent = int(text.split("e+")[1])
+        assert abs(Fraction(text) - value) <= Fraction(10 ** (exponent - 16), 2)
 
 
 # Run in a fresh interpreter with numpy blocked: each argv's exit code and stdout digest.

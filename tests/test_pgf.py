@@ -487,7 +487,7 @@ class TestMarginals:
         expect = reference.marginal_law(4, 3, HALF, active=False)
         assert list(got.pmf) == [expect.get(b, Fraction(0)) for b in range(3)]
 
-    # `pmf`'s up-front digit bound (cli._scale_past_digit_limit) rests on this:
+    # `pmf`'s up-front digit bound (cli._exact_law_refusal) rests on this:
     # P(X=0) for n >= 2, and P(Y=0) for m >= 2, keep the whole scale den(p)^(n*m)
     # as their reduced denominator.
     @settings(max_examples=60, deadline=None)

@@ -200,6 +200,15 @@ class TestChiSquare:
         assert dof == 2
         assert statistic > 0
 
+    @pytest.mark.parametrize("counts,expected", [([[100, 0], [0, 0]], 0.0),
+                                                 ([[99, 1], [0, 0]], float("inf"))])
+    def test_pooled_expectation_below_the_doubles(self, counts, expected):
+        # at p = 10^-300 the pooled expectation, about 200 p^2, is a positive
+        # Fraction whose float is 0.0
+        dist = joint_pmf(ModelParams(2, 2, Fraction(1, 10**300)))
+        statistic, dof = chi_square(dist, emp_from_counts(counts))
+        assert (statistic, dof) == (expected, 1)
+
     def test_single_cell_rejected(self):
         dist = joint_pmf(ModelParams(1, 1, HALF))
         emp = emp_from_counts([[10]])
