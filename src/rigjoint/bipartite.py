@@ -27,7 +27,8 @@ changes a result.
 
 ``exhaustive_joint`` is the ground-truth oracle: it counts every one of the
 2^(n*m) adjacency tables exactly, row by row (a transfer-matrix count), by
-degree pair and edge count, and weights each count by p^edges
+degree pair and edge count; each added row moves only the live states, those
+that hold a count. It weights each count by p^edges
 (1-p)^(non-edges) in integers over den(p)^(n*m), the scale the closed-form
 route uses too. Two guards make a miscount raise instead of passing quietly:
 the counts total 2^(n*m), and those with e edges total C(n*m, e). It uses
@@ -305,10 +306,15 @@ def empirical_joint(
 
 
 def _add_line(state: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Counts after one more line: each line value r moves state i to targets[r, i]."""
+    """Counts after one more line: each line value r moves state i to targets[r, i].
+
+    Only live states, those holding a count, move; most states of the grid
+    are unreachable or already empty, and moving their zeros changes nothing.
+    """
     import numpy as np
+    live = np.flatnonzero(state)
     moved = np.zeros_like(state)
-    np.add.at(moved, targets.ravel(), np.tile(state, len(targets)))
+    np.add.at(moved, targets[:, live].ravel(), np.tile(state[live], len(targets)))
     return moved
 
 

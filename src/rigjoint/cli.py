@@ -14,6 +14,7 @@ fraction is {"num", "den"} as decimal digit strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -21,16 +22,10 @@ import re
 import sys
 from fractions import Fraction
 
+from . import pgf
 from .bipartite import ENUMERATION_CAP, empirical_joint, exhaustive_joint, sample_words
 from .exact import Mode, SizeCapError, parse_probability
-from .pgf import (
-    ModelParams,
-    Side,
-    eval_joint_pgf,
-    joint_pmf,
-    marginal_pmf,
-    recombination_check,
-)
+from .pgf import ModelParams, Side, joint_pmf, marginal_pmf, recombination_check
 from .stats import chi_square, moments, tv_distance
 
 EXIT_OK = 0
@@ -63,6 +58,11 @@ MAX_P_EXPONENT = 100_000
 # scan); elsewhere the int-to-str bound on the means is tighter. On 2 vCPUs `moments
 # --n 1 --p 1/3` took 0.09 s at 1.4e5 digits, 0.54 s at 4.8e5 and 1.7 s at 9.5e5.
 MAX_LINE_MOMENT_DIGITS = 500_000
+
+# Most digits of den(p)^(n*m), the scale of every integer verify compares, that exact
+# verify may reach. On 2 vCPUs, at 2x11, 11x2, 1x22, 22x1, 4x5, 5x4, 3x7 and 4x4, verify
+# took 0.36-0.65 s at 11000 digits, 0.43-0.76 s at 16000 and 0.75-1.74 s at 22000.
+MAX_VERIFY_DIGITS = 16_000
 
 # A decimal with an exponent, as Fraction() reads one.
 _EXPONENT = re.compile(
@@ -333,11 +333,26 @@ def _formula_check(name: str, mismatches) -> tuple:
 
 
 def cmd_verify(args, params: ModelParams) -> int:
+    """Check the closed forms against enumeration, on one moment table per invocation.
+
+    The table is built when a check first reads it, through ``pgf.moment_table``
+    as it is looked up then; a table that raises ValueError fails each check
+    that reads it, with the same message. ``enumeration_vs_formula`` sieves it.
+    ``pgf_transform_identity`` compares in integers: at each probe point the
+    enumerated polynomial is one integer over scale * den(x)^(n-1) *
+    den(y)^(m-1), cross-multiplied with the table's F, and Fractions are formed
+    only to report a mismatch. ``edge_split_recombination`` rebuilds each
+    N[k][l] from the conditionals and reads no table.
+    """
     n, m = params.n, params.m
     oracle = exhaustive_joint(params)
 
+    @functools.cache
+    def table():
+        return pgf.moment_table(params)
+
     def formula_mismatches():
-        formula = joint_pmf(params)
+        formula = pgf.sieve_invert(table())
         for a in range(n):
             for b in range(m):
                 if formula.counts[a][b] * oracle.scale != oracle.counts[a][b] * formula.scale:
@@ -355,14 +370,17 @@ def cmd_verify(args, params: ModelParams) -> int:
 
     def transform_mismatches():
         for x, y in _VERIFY_POINTS:
-            pgf = eval_joint_pgf(params, x, y)
-            polynomial = sum(
-                prob * x**a * y**b
-                for a, row in enumerate(oracle.pmf)
-                for b, prob in enumerate(row)
+            value = table().eval_pgf(x, y)
+            # x^a y^b = xs[a] ys[b] / (den(x)^(n-1) den(y)^(m-1))
+            xs = [x.numerator**a * x.denominator ** (n - 1 - a) for a in range(n)]
+            ys = [y.numerator**b * y.denominator ** (m - 1 - b) for b in range(m)]
+            numerator = sum(
+                xa * sum(c * yb for c, yb in zip(row, ys)) for xa, row in zip(xs, oracle.counts)
             )
-            if pgf != polynomial:
-                yield f"(x,y) = ({x},{y}): PGF {pgf}, enumerated polynomial {polynomial}"
+            denominator = oracle.scale * x.denominator ** (n - 1) * y.denominator ** (m - 1)
+            if value.numerator * denominator != numerator * value.denominator:
+                polynomial = Fraction(numerator, denominator)
+                yield f"(x,y) = ({x},{y}): PGF {value}, enumerated polynomial {polynomial}"
 
     checks = [
         _formula_check("enumeration_vs_formula", formula_mismatches),
@@ -471,6 +489,8 @@ def _admit(args) -> dict:
             raise refusal
     if command == "verify" and n * m > ENUMERATION_CAP:
         raise SizeCapError(f"verify enumerates all graphs and needs n*m <= {ENUMERATION_CAP}")
+    if command == "verify" and _power_past(params.p.denominator, n * m, MAX_VERIFY_DIGITS):
+        raise SizeCapError(f"verify needs den(p)^(n*m) below 10^{MAX_VERIFY_DIGITS}")
     if command in ("moments", "scan") and mode is Mode.FLOAT:
         # each N[k][l], k + l <= 2, multiplies C(n-1,k) C(m-1,l) into a double
         try:

@@ -218,11 +218,22 @@ def _power_sum(p: Fraction, terms) -> Fraction:
 
     With p = a/b, each term is the integer w a^i (b-a)^j over b^(i+j), padded
     to the largest exponent E = max(i+j), so the sum is one integer over b^E.
+    The powers of a, b-a and b are tabled once per call, not formed per term.
     """
     terms = list(terms)
     a, b = p.numerator, p.denominator
     top = max(i + j for _, i, j in terms)
-    return Fraction(sum(w * a**i * (b - a) ** j * b ** (top - i - j) for w, i, j in terms), b**top)
+    a_pow, c_pow, b_pow = (_powers(base, top) for base in (a, b - a, b))
+    total = sum(w * a_pow[i] * c_pow[j] * b_pow[top - i - j] for w, i, j in terms)
+    return Fraction(total, b_pow[top])
+
+
+def _powers(base: int, top: int) -> list:
+    """base^e for e = 0..top, each one multiplication from the last."""
+    powers = [1]
+    for _ in range(top):
+        powers.append(powers[-1] * base)
+    return powers
 
 
 def cond_nonadjacency_given_edge(params: ModelParams, k: int, l: int) -> Fraction:

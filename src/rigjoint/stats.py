@@ -124,24 +124,26 @@ def chi_square(
     Cells with expected count below 5 are merged into one remainder cell
     (dropped when both its expectation and observation are zero); degrees of
     freedom are the remaining cells minus one. Raises ValueError when fewer
-    than two cells survive.
+    than two cells survive. Expectations are read from the law's integer
+    counts over its scale: trials * c < 5 * scale decides the pooling, and
+    each kept or pooled expectation is one correctly rounded int/int division.
     """
     _check_dims(dist, emp)
     if emp.trials < 1:
         raise ValueError("empirical distribution has no trials")
     kept = []
-    pooled_expected, pooled_observed = Fraction(0), 0
-    for a in range(dist.params.n):
-        for b in range(dist.params.m):
-            expected = emp.trials * dist.pmf[a][b]
-            observed = emp.counts[a][b]
-            if expected < 5:
+    pooled_expected, pooled_observed = 0, 0  # expectations times dist.scale
+    small = 5 * dist.scale
+    for row, tally in zip(dist.counts, emp.counts):
+        for c, observed in zip(row, tally):
+            expected = emp.trials * c
+            if expected < small:
                 pooled_expected += expected
                 pooled_observed += observed
             else:
-                kept.append((float(expected), observed))
+                kept.append((expected / dist.scale, observed))
     if pooled_expected > 0 or pooled_observed > 0:
-        kept.append((float(pooled_expected), pooled_observed))
+        kept.append((pooled_expected / dist.scale, pooled_observed))
     if len(kept) < 2:
         raise ValueError("fewer than 2 cells after pooling; chi-square undefined")
     statistic = 0.0

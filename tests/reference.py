@@ -7,6 +7,10 @@ edge, and ``joint_pgf_float_full`` at the end. No closed forms, no sieve, no
 numpy elsewhere: these are the oracles the library is checked against, so
 they must stay dumb.
 
+``chi_square`` is the Pearson statistic computed from the law's Fraction
+pmf, cell by cell; the library reads the integer counts over the scale
+instead, and is checked equal to it.
+
 ``joint_pgf_float_full`` is the float joint PGF summed over every (k, l, i)
 term, with no window. The library's windowed sum is checked against it. It
 uses the library's binomial weights and block size, so at points where the
@@ -147,6 +151,38 @@ def projection_edge_counts(rows, n, m):
     active = sum(1 for i in range(n) for i2 in range(i + 1, n) if rows[i] & rows[i2])
     passive = sum(1 for j in range(m) for j2 in range(j + 1, m) if cols[j] & cols[j2])
     return active, passive
+
+
+def chi_square(pmf, counts, trials):
+    """(statistic, dof) of observed ``counts`` against the Fraction table ``pmf``.
+
+    Cells with expected count below 5 pool into one remainder cell, dropped
+    when its expectation and observation are both zero. An expectation whose
+    float is 0.0 adds inf with observations and nothing without. Raises
+    ValueError when fewer than two cells remain.
+    """
+    kept = []
+    pooled_expected, pooled_observed = Fraction(0), 0
+    for prob_row, count_row in zip(pmf, counts):
+        for prob, observed in zip(prob_row, count_row):
+            expected = trials * prob
+            if expected < 5:
+                pooled_expected += expected
+                pooled_observed += observed
+            else:
+                kept.append((float(expected), observed))
+    if pooled_expected > 0 or pooled_observed > 0:
+        kept.append((float(pooled_expected), pooled_observed))
+    if len(kept) < 2:
+        raise ValueError("fewer than 2 cells after pooling")
+    statistic = 0.0
+    for expected, observed in kept:
+        if expected == 0.0:
+            statistic += math.inf if observed else 0.0
+        else:
+            diff = float(observed) - expected
+            statistic += diff * diff / expected
+    return statistic, len(kept) - 1
 
 
 def joint_pgf_float_full(params, x, y):

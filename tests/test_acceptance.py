@@ -238,10 +238,11 @@ def test_criterion_11_performance():
     ok = ok and corr is not None and corr > 0 and corr_elapsed < 0.5
 
     start = time.perf_counter()
-    for n, m, p in [(11, 2, Fraction(1, 3)), (2, 11, Fraction(1, 3)), (1, 22, Fraction(1, 2))]:
+    for n, m, p in [(11, 2, Fraction(1, 3)), (2, 11, Fraction(1, 3)), (1, 22, Fraction(1, 2)),
+                    (4, 5, Fraction(2, 5)), (5, 4, Fraction(2, 5))]:
         exhaustive_joint(ModelParams(n, m, p))  # its law is checked to sum to 1
     enumeration_elapsed = time.perf_counter() - start
-    ok = ok and enumeration_elapsed < 0.25
+    ok = ok and enumeration_elapsed < 0.1
     _report(
         11,
         "performance envelopes",
@@ -250,7 +251,7 @@ def test_criterion_11_performance():
         f"float 700x700 at (0, 0.7) {edge_elapsed:.3f}s < 0.05s; "
         f"Monte Carlo 50x50 40000 trials {sample_elapsed:.2f}s < 0.5s; "
         f"edge-count correlation 20x20 40000 trials {corr_elapsed:.2f}s < 0.5s; "
-        f"enumeration 11x2, 2x11, 1x22 {enumeration_elapsed:.3f}s < 0.25s",
+        f"enumeration 11x2, 2x11, 1x22, 4x5, 5x4 {enumeration_elapsed:.3f}s < 0.1s",
     )
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import rigjoint
 from rigjoint import cli, pgf
 from rigjoint.cli import _law_cells, main
+from tests import reference
 
 
 def run(capsys, argv):
@@ -695,6 +696,60 @@ class TestVerifyCommand:
             "pgf_transform_identity: first mismatch at (x,y) = (2/3,3/5): PGF "
         )
         assert "enumerated polynomial" in lines[1]
+
+    def test_pgf_identity_fails_on_its_own(self, capsys, monkeypatch):
+        # the table and its sieved law stay right; only F as read off the table is off
+        original = pgf.MomentTable.eval_pgf
+
+        def off_by_one_count(table, x, y):
+            return original(table, x, y) + Fraction(1, table.scale)
+
+        monkeypatch.setattr(pgf.MomentTable, "eval_pgf", off_by_one_count)
+        code, out, err = run(capsys, ["verify", "--n", "3", "--m", "4", "--p", "2/5"])
+        assert code == 1
+        assert out.splitlines() == [
+            "check,status",
+            "enumeration_vs_formula,PASS",
+            "edge_split_recombination,PASS",
+            "pgf_transform_identity,FAIL",
+        ]
+        law = reference.law_as_table(reference.joint_law(3, 4, Fraction(2, 5)), 3, 4)
+        true_f = reference.pgf_from_pmf(law, Fraction(2, 3), Fraction(3, 5))
+        assert err == (
+            f"pgf_transform_identity: first mismatch at (x,y) = (2/3,3/5): "
+            f"PGF {true_f + Fraction(1, 5**12)}, enumerated polynomial {true_f}\n"
+        )
+
+
+class TestVerifyDigitBound:
+    """``verify`` refuses den(p)^(n*m) >= 10^MAX_VERIFY_DIGITS before it enumerates."""
+
+    # 10^16000 three ways, and 7^18940 > 10^16006
+    PAST = [(2, 8, "1e-1000"), (16, 1, "1e-1000"), (1, 1, "1e-16000"), (4, 5, f"1/{7**947}")]
+    # 10^15984, 10^15999 and 7^18920 < 10^15990
+    WITHIN = [(2, 8, "1e-999"), (1, 1, "1e-15999"), (4, 5, f"1/{7**946}")]
+
+    def test_bound_is_pinned(self):
+        assert cli.MAX_VERIFY_DIGITS == 16_000
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n,m,p", PAST)
+    def test_refuses_before_any_work(self, capsys, monkeypatch, n, m, p, fmt):
+        monkeypatch.setattr(cli, "exhaustive_joint", must_not_run)
+        argv = ["verify", "--n", str(n), "--m", str(m), "--p", p, "--format", fmt]
+        assert run(capsys, argv) == (3, "", "error: verify needs den(p)^(n*m) below 10^16000\n")
+
+    @pytest.mark.parametrize("n,m,p", WITHIN)
+    def test_admits_below_the_bound(self, capsys, monkeypatch, n, m, p):
+        class Admitted(Exception):
+            pass
+
+        def admitted(params):
+            raise Admitted
+
+        monkeypatch.setattr(cli, "exhaustive_joint", admitted)
+        with pytest.raises(Admitted):
+            main(["verify", "--n", str(n), "--m", str(m), "--p", p])
 
 
 class TestScanCommand:

@@ -5,9 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigjoint import (
     EmpiricalJointDistribution,
+    JointDegreeDistribution,
     Mode,
     ModelParams,
     Side,
@@ -208,6 +211,36 @@ class TestChiSquare:
         dist = joint_pmf(ModelParams(2, 2, Fraction(1, 10**300)))
         statistic, dof = chi_square(dist, emp_from_counts(counts))
         assert (statistic, dof) == (expected, 1)
+
+    def test_expectation_of_exactly_five_is_kept(self):
+        dist = JointDegreeDistribution(P22, 4, ((1, 1), (1, 1)))
+        emp = emp_from_counts([[5, 7], [3, 5]])
+        assert chi_square(dist, emp) == reference.chi_square(dist.pmf, emp.counts, 20)
+        assert chi_square(dist, emp) == (1.6, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equals_the_fraction_reference(self, data):
+        # random laws and tallies, with expectations on both sides of 5 and
+        # pooled ones whose float underflows
+        n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        cell_counts = st.lists(st.integers(0, 10**6), min_size=n * m, max_size=n * m)
+        law = data.draw(cell_counts.filter(any))
+        scale = sum(law) * 10 ** data.draw(st.sampled_from([0, 0, 1, 400]))
+        law[0] += scale - sum(law)
+        tallies = data.draw(st.lists(st.integers(0, 40), min_size=n * m, max_size=n * m))
+        tallies[0] += 1
+        dist = JointDegreeDistribution(
+            ModelParams(n, m, HALF), scale, tuple(zip(*[iter(law)] * m))
+        )
+        emp = emp_from_counts(list(zip(*[iter(tallies)] * m)))
+        try:
+            expected = reference.chi_square(dist.pmf, emp.counts, emp.trials)
+        except ValueError:
+            with pytest.raises(ValueError):
+                chi_square(dist, emp)
+        else:
+            assert chi_square(dist, emp) == expected
 
     def test_single_cell_rejected(self):
         dist = joint_pmf(ModelParams(1, 1, HALF))

@@ -21,7 +21,9 @@ from rigjoint import cli
 
 SIZES = [1, 2, 20, 40, 41, 10**20, 10**160, 10**400]
 WORKING_SIZES = {20, 40, 41}
-PROBABILITIES = ["0", "1", "1/2", "0.000001", "1e-300", "1/" + "7" * 200, "1e-10000000"]
+PROBABILITIES = [
+    "0", "1", "1/2", "0.000001", "1e-300", "1e-3000", "1/" + "7" * 200, "1e-10000000",
+]
 FULL = os.environ.get("RIGJOINT_TOTALITY") == "full"
 
 
