@@ -729,9 +729,6 @@ class TestVerifyDigitBound:
     # 10^15984, 10^15999 and 7^18920 < 10^15990
     WITHIN = [(2, 8, "1e-999"), (1, 1, "1e-15999"), (4, 5, f"1/{7**946}")]
 
-    def test_bound_is_pinned(self):
-        assert cli.MAX_VERIFY_DIGITS == 16_000
-
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("n,m,p", PAST)
     def test_refuses_before_any_work(self, capsys, monkeypatch, n, m, p, fmt):
