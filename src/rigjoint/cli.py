@@ -53,11 +53,13 @@ MAX_SIMULATE_WORDS = 10**9
 # builds 10^|exponent|: on 2 vCPUs 1e-100000 parsed in 0.01 s, 1e-1000000 in 0.33 s.
 MAX_P_EXPONENT = 100_000
 
-# Most digits of den(p)^max(n, m), the power moment_entry builds before the Fraction
-# cancels it, that exact moments may reach at n = 1 or m = 1 (times the grid points in
-# scan); elsewhere the int-to-str bound on the means is tighter. On 2 vCPUs `moments
-# --n 1 --p 1/3` took 0.09 s at 1.4e5 digits, 0.54 s at 4.8e5 and 1.7 s at 9.5e5.
-MAX_LINE_MOMENT_DIGITS = 500_000
+# Most exact work that moments and scan may do: the sum over grid points of D^2, with D
+# the digits of den(p)^(4 max(n, m)), or den(p)^4 at n = 1 or m = 1, which bounds the powers
+# the closed forms build. Their big-integer gcds make a point cost about D^2. On 2 vCPUs,
+# 2000x2000 at p = 1/9999 (D = 32000, int-to-str limit lifted) took 0.35 s, and grids at
+# the bound took 0.56 s (500x500, 27 points at den(p) = 19997) and 0.93 s (100x100, 600
+# points at 10007), 3e-10 to 6e-10 s per squared digit; any point also costs about 0.25 ms.
+MAX_MOMENT_WORK = 2 * 10**9
 
 # Most digits of den(p)^(n*m), the scale of every integer verify compares, that exact
 # verify may reach. On 2 vCPUs, at 2x11, 11x2, 1x22, 22x1, 4x5, 5x4, 3x7 and 4x4, verify
@@ -492,7 +494,9 @@ def _admit(args) -> dict:
     if command == "verify" and _power_past(params.p.denominator, n * m, MAX_VERIFY_DIGITS):
         raise SizeCapError(f"verify needs den(p)^(n*m) below 10^{MAX_VERIFY_DIGITS}")
     if command in ("moments", "scan") and mode is Mode.FLOAT:
-        # each N[k][l], k + l <= 2, multiplies C(n-1,k) C(m-1,l) into a double
+        # the closed forms multiply n-1, n-2 and m-1 into doubles, as (n-1)((n-2) x) and
+        # (n-1)((m-1) x) with 0 <= x <= 1, and each product is at most a variance or the
+        # covariance: below C(n-1,2), C(m-1,2) or (n-1)(m-1)
         try:
             float(max(n - 1, m - 1, math.comb(n - 1, 2), math.comb(m - 1, 2), (n - 1) * (m - 1)))
         except OverflowError:
@@ -507,10 +511,15 @@ def _admit(args) -> dict:
         if any(size >= 2 and _power_past(point.p.denominator, 2 * other, limit, size - 1)
                for point in points for size, other in ((n, m), (m, n))):
             raise _too_many_digits()
-        b = max(point.p.denominator for point in points)
-        if min(n, m) == 1 and _power_past(b, max(n, m) * len(points), MAX_LINE_MOMENT_DIGITS):
-            raise SizeCapError(f"exact moments at n = 1 or m = 1 need den(p)^max(n, m) below "
-                               f"10^{MAX_LINE_MOMENT_DIGITS} (in scan, over the whole grid)")
+        side = max(n, m) if min(n, m) > 1 else 1
+        try:  # p = 0 and p = 1 are point masses and build no powers
+            work = sum((4 * side * math.log10(point.p.denominator)) ** 2
+                       for point in points if point.p.denominator > 1)
+        except OverflowError:  # a side past the doubles, with the int-to-str limit lifted
+            work = math.inf
+        if work > MAX_MOMENT_WORK:
+            raise SizeCapError(f"exact moments need {work:.3g} squared digits of den(p) powers "
+                               f"(summed over the grid in scan); capped at {MAX_MOMENT_WORK:.0e}")
     return {"points": points} if command == "scan" else {"params": params}
 
 

@@ -65,8 +65,3 @@ def as_scalar(value: Scalar, mode: Mode) -> Scalar:
             raise TypeError("float input rejected in exact mode; pass a Fraction or int")
         return Fraction(value)
     return float(value)
-
-
-def zero(mode: Mode) -> Scalar:
-    """Additive identity in the carrier type of ``mode``."""
-    return Fraction(0) if mode is Mode.EXACT else 0.0

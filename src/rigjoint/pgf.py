@@ -33,8 +33,8 @@ first access. The marginal moments (``_marginal_form``) are integers over the
 same denominator, each edge-split conditional sums its terms as one integer
 over a power of b (``_power_sum``), and exact PGFs are integer dot products
 with the basis u or v. The transform cancels catastrophically in floating
-point, so there is no float pmf: float mode covers PGF point evaluation
-(``eval_joint_pgf``, ``eval_marginal_pgf``) and moments (``moment_entry``).
+point, so there is no float pmf: float mode here covers PGF point evaluation
+(``eval_joint_pgf``, ``eval_marginal_pgf``).
 
 The float joint PGF sums the closed form's triple sum in numpy without
 forming the table (``_eval_joint_float``). Its binomial weights, u(x), v(y)
@@ -54,8 +54,7 @@ alternate in sign, the full sum runs, and only small sizes stay accurate.
 
 The float joint PGF is the only route here that uses numpy, and its three
 functions import it when called. The exact routes (the table, the sieve,
-the laws and the exact PGFs), float moments and the float marginal PGF never
-load it.
+the laws and the exact PGFs) and the float marginal PGF never load it.
 """
 
 from __future__ import annotations
@@ -283,9 +282,8 @@ def cond_nonadjacency_given_nonedge(params: ModelParams, k: int, l: int) -> Frac
 def _closed_form(n: int, m: int, a, c, b, l: int, ks: range) -> list:
     """Closed product form of N[k][l] for p = a/b and q = c/b, for k in ``ks``.
 
-    Returns one numerator per k, N[k][l]'s over b^(n*m - (n-1-k)*(m-1-l)).
-    Exact mode passes integers with c = b - a; float mode passes
-    (p, 1-p, 1.0), so each result is N[k][l] itself. Along the column only k
+    Returns one numerator per k, N[k][l]'s over b^(n*m - (n-1-k)*(m-1-l)),
+    for integers a, b and c = b - a. Along the column only k
     moves: the weighted powers w_i base_i^k and the leading term
     a c^(k+l) b^(kl) are formed as written at ``ks.start`` and then carried
     as running products, times base_i and c b^l per step in k.
@@ -313,13 +311,10 @@ def _closed_form(n: int, m: int, a, c, b, l: int, ks: range) -> list:
     return column
 
 
-def moment_entry(params: ModelParams, k: int, l: int, mode: Mode = Mode.EXACT) -> Scalar:
+def moment_entry(params: ModelParams, k: int, l: int) -> Fraction:
     """Falling moment N[k][l] = E[C(Y1,k) C(Y2,l)] of the non-neighbor counts."""
     _check_orders(params, k, l)
     n, m = params.n, params.m
-    if mode is Mode.FLOAT:
-        p = float(params.p)
-        return _closed_form(n, m, p, 1.0 - p, 1.0, l, range(k, k + 1))[0]
     a, b = params.p.numerator, params.p.denominator
     numerator = _closed_form(n, m, a, b - a, b, l, range(k, k + 1))[0]
     return Fraction(numerator, b ** (n * m - (n - 1 - k) * (m - 1 - l)))

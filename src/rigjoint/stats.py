@@ -1,12 +1,17 @@
 """Derived statistics: moments of the degree pair, dependence diagnostics,
 and goodness-of-fit metrics for Monte Carlo output.
 
-Means, variances, and the covariance come straight from the falling moments:
-with Y1 = n-1-X and Y2 = m-1-Y, E[Y1] = N[1][0], E[Y1(Y1-1)] = 2 N[2][0],
-E[Y1 Y2] = N[1][1], and shifting by constants leaves variances and the
-covariance unchanged. X and Y are both increasing functions of the edge set,
-so cov(X, Y) >= 0 by Harris's inequality; float mode can still print a
-negative value at tiny p, where N11 - N10 N01 cancels.
+Means, variances and the covariance come from their closed forms (ROADMAP
+item 1). With s = 1-p^2, q = 1-p and r = 1-2p^2+p^3 = q(1+pq): another vertex
+shares none of the tracked vertex's objects with probability s per object,
+and two others both share none with probability r per object, so
+E[X] = (n-1)(1-s^m), Var X = (n-1) s^m (1-s^m) + (n-1)(n-2)(r^m - s^(2m)),
+Y swaps n and m, and cov(X, Y) = (n-1)(m-1) s^(n+m-4) q^2 p^3 (4+p-2p^2-p^3).
+Each is written once, and only ``_bases``, which raises s and r to powers,
+knows the mode: Fractions in exact mode, log1p and expm1 in float mode. X and
+Y are both increasing functions of the edge set, so cov(X, Y) >= 0 by
+Harris's inequality (Harris 1960); the closed form is a product of
+nonnegative factors (4+p-2p^2-p^3 >= 2 on [0, 1]) in either mode.
 
 Only ``edge_count_correlation`` and its helpers use numpy, and they import
 it when called; moments, the independence gap, TV distance and chi-square run without
@@ -16,19 +21,19 @@ it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .bipartite import EmpiricalJointDistribution, _adjacency_batch, batch_trials, run_batches
-from .exact import Mode, Scalar, zero
+from .exact import Mode, Scalar, as_scalar
 from .pgf import (
     JointDegreeDistribution,
     ModelParams,
     Side,
     eval_joint_pgf,  # noqa: F401 (unused; benchmarks/test_smoke.py reads stats.eval_joint_pgf)
     eval_marginal_pgf,
-    moment_entry,
     moment_table,
 )
 
@@ -50,23 +55,64 @@ class MomentSummary:
     corr: Optional[float]
 
 
+def _bases(p: Fraction, mode: Mode) -> tuple:
+    """(p, q, s_pow, gap) in ``mode``'s carrier, for 0 < p < 1.
+
+    s_pow(e) = (s^e, 1 - s^e) and gap(e) = r^e - s^(2e). Float mode takes exp
+    and -expm1 of e log s, and gap(e) = r^e (1 - t^e) with t = s^2/r =
+    1 - p^3/(1+pq), so nothing cancels. Above p = 1/2, where s = q(1+p) and
+    r = q(1+pq), each log is summed around log q, q rounded once from the
+    exact 1-p (or, below the normal doubles, logged from its integers).
+    """
+    if mode is Mode.EXACT:
+        s, r = 1 - p * p, (1 - p) * (1 + p * (1 - p))
+
+        def s_pow(e):
+            power = s**e
+            return power, 1 - power
+
+        return p, 1 - p, s_pow, lambda e: r**e - s ** (2 * e)
+    f, q = float(p), float(1 - p)
+    if f <= 0.5:
+        log_s, log_r, log_t = (math.log1p(-f * f * x) for x in (1, 1 + q, f / (1 + f * q)))
+    else:
+        a, b = p.numerator, p.denominator
+        log_q = math.log(q) if q >= sys.float_info.min else math.log(b - a) - math.log(b)
+        log_s, log_r = log_q + math.log1p(f), log_q + math.log1p(f * q)
+        log_t = 2 * log_s - log_r
+    return (f, q, lambda e: (math.exp(e * log_s), -math.expm1(e * log_s)),
+            lambda e: math.exp(e * log_r) * -math.expm1(e * log_t))
+
+
+def _side(size: int, other: int, s_pow, gap) -> tuple:
+    """(E, Var) of the degree on the side of ``size``, the other side having ``other``.
+
+    A factor size-1 or size-2 of 0 skips its powers.
+    """
+    if size == 1:
+        return 0, 0
+    power, complement = s_pow(other)
+    var = (size - 1) * (power * complement)
+    if size > 2:  # (size-1) times ((size-2) gap) keeps a double in range
+        var += (size - 1) * ((size - 2) * gap(other))
+    return (size - 1) * complement, var
+
+
 def moments(params: ModelParams, mode: Mode = Mode.EXACT) -> MomentSummary:
-    """Moment summary of the degree pair from five falling moments."""
-    n, m = params.n, params.m
-
-    def entry(k, l):
-        # orders beyond the table range correspond to empty falling products
-        if k > n - 1 or l > m - 1:
-            return zero(mode)
-        return moment_entry(params, k, l, mode)
-
-    n10, n01 = entry(1, 0), entry(0, 1)
-    n20, n02, n11 = entry(2, 0), entry(0, 2), entry(1, 1)
-    mean_x = (n - 1) - n10
-    mean_y = (m - 1) - n01
-    var_x = 2 * n20 + n10 - n10 * n10
-    var_y = 2 * n02 + n01 - n01 * n01
-    cov = n11 - n10 * n01
+    """Moment summary of the degree pair from the closed forms."""
+    n, m, p = params.n, params.m, params.p
+    if p in (0, 1):  # a point mass at (0, 0) or (n-1, m-1)
+        mean_x, mean_y, var_x, var_y, cov = (n - 1) * p, (m - 1) * p, 0, 0, 0
+    else:
+        p, q, s_pow, gap = _bases(p, mode)
+        mean_x, var_x = _side(n, m, s_pow, gap)
+        mean_y, var_y = _side(m, n, s_pow, gap)
+        cov = 0
+        if n > 1 and m > 1:
+            cov = (n - 1) * ((m - 1) * (s_pow(n + m - 4)[0] * q * q * p**3
+                                        * (4 + p - 2 * p * p - p**3)))
+    fields = (as_scalar(v, mode) for v in (mean_x, mean_y, var_x, var_y, cov))
+    mean_x, mean_y, var_x, var_y, cov = fields
     if var_x <= 0 or var_y <= 0:
         corr = None
     elif mode is Mode.FLOAT:

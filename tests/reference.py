@@ -5,7 +5,10 @@ exact Fraction weights, except the two ``pgf_from_*`` helpers, which evaluate
 a given table term by term, the scalar sampler, which draws one graph edge by
 edge, and ``joint_pgf_float_full`` at the end. No closed forms, no sieve, no
 numpy elsewhere: these are the oracles the library is checked against, so
-they must stay dumb.
+they must stay dumb. ``moments_from_falling_moments`` and
+``moment_entry_float`` at the end are the exception: the route by which
+``stats.moments`` once read the moments off five falling moments, kept as a
+cross-check of its closed forms.
 
 ``chi_square`` is the Pearson statistic computed from the law's Fraction
 pmf, cell by cell; the library reads the integer counts over the scale
@@ -22,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from rigjoint.pgf import _L_BLOCK, _binomial_weights
+from rigjoint.pgf import _L_BLOCK, _binomial_weights, moment_entry
 
 
 def all_graphs(n, m):
@@ -218,3 +221,53 @@ def joint_pgf_float_full(params, x, y):
         inner = np.sum(_binomial_weights(q, l[:, None], i) * acc, axis=1)
         total += v[l] @ (p * q**l * (q_pow @ g) + q * inner)
     return float(total)
+
+
+def moment_entry_float(params, k, l):
+    """Float N[k][l] from the closed product form, evaluated as written for one cell.
+
+    ``pgf._closed_form`` for the single k, run on (p, 1-p, 1.0) in place of
+    the integers (a, b-a, b), with every operation in its order.
+    """
+    n, m = params.n, params.m
+    a = float(params.p)
+    c, b = 1.0 - a, 1.0
+    bases = [c ** (i + 1) * b ** (l - i) + a * c**l for i in range(l + 1)]
+    powers = [math.comb(l, i) * a**i * c ** (l - i) * base**k for i, base in enumerate(bases)]
+    lead = a * c ** (k + l) * b ** (k * l)
+    per_vertex = c * b**l + a * c**l
+    bracket = lead + c * sum(powers)
+    per_object = c * b**k + a * c**k
+    return (
+        math.comb(n - 1, k)
+        * math.comb(m - 1, l)
+        * per_object ** (m - 1 - l)
+        * per_vertex ** (n - 1 - k)
+        * bracket
+    )
+
+
+def moments_from_falling_moments(params, exact=True):
+    """(mean_x, mean_y, var_x, var_y, cov) from the falling moments N[k][l], k + l <= 2.
+
+    With Y1 = n-1-X and Y2 = m-1-Y, E[Y1] = N[1][0], E[Y1(Y1-1)] = 2 N[2][0]
+    and E[Y1 Y2] = N[1][1]; shifting by constants leaves the variances and the
+    covariance unchanged. Exact cells come from ``pgf.moment_entry``, float
+    cells from ``moment_entry_float``. In float mode var and cov cancel.
+    """
+    n, m = params.n, params.m
+
+    def entry(k, l):
+        if k > n - 1 or l > m - 1:  # an empty falling product
+            return Fraction(0) if exact else 0.0
+        return moment_entry(params, k, l) if exact else moment_entry_float(params, k, l)
+
+    n10, n01 = entry(1, 0), entry(0, 1)
+    n20, n02, n11 = entry(2, 0), entry(0, 2), entry(1, 1)
+    return (
+        (n - 1) - n10,
+        (m - 1) - n01,
+        2 * n20 + n10 - n10 * n10,
+        2 * n02 + n01 - n01 * n01,
+        n11 - n10 * n01,
+    )

@@ -339,12 +339,12 @@ STDOUT_DIGESTS = [
     ),
     pytest.param(
         ["moments", "--n", "7", "--m", "5", "--p", "2/7", "--mode", "float"],
-        "57dc378129f0032e7efd0445beb9a55676bcb640a5ab9f35dae450be4ee360d9",
+        "33c47a7827ebfd864cc3e04dab888b5f4e36a4ee227d0c516f804a63c43c9348",
         id="moments-float-csv",
     ),
     pytest.param(
         ["moments", "--n", "7", "--m", "5", "--p", "2/7", "--mode", "float", "--format", "json"],
-        "77c99673d979d9ab0cade1efaad3c718fa1f1b460547fb8e1cedfc403b8bf4e4",
+        "194521f771104e2a2e00f94c7e68d3542748d074c47b26f490102d7abc6f8a5a",
         id="moments-float-json",
     ),
     # the grid's ends p = 0 and p = 1 have corr "undefined"
@@ -360,13 +360,13 @@ STDOUT_DIGESTS = [
     ),
     pytest.param(
         ["scan", "--n", "6", "--m", "4", "--p-grid", "0:1:1/4", "--mode", "float"],
-        "7f218282d5fb608e0dc7e7317cfab082fd78543d76c5f7c0e663b0137929b367",
+        "a95190cb972d41b19e7cb2e749872c3426d0035b365aee76f8831cb7742eae0d",
         id="scan-float-csv",
     ),
     pytest.param(
         ["scan", "--n", "6", "--m", "4", "--p-grid", "0:1:1/4", "--mode", "float",
          "--format", "json"],
-        "c04b1771070131f42784df335caa08344a40f26927198f2f1bc737dcbf845592",
+        "252630e8bc1c08413d288e748909abf7ce2cffda9893f8609d3f14978c4dfc56",
         id="scan-float-json",
     ),
     pytest.param(
@@ -374,7 +374,7 @@ STDOUT_DIGESTS = [
         "29fbf902abd5bb10552b8522d51217fbf3766a6c07c9e76ceec7a454e488bc3b",
         id="verify-single-cell-csv",
     ),
-    # a side of one: exact moments below the admission gate's work bound
+    # a side of one: X = 0, and no power of den(p) past the fourth is built
     pytest.param(
         ["moments", "--n", "1", "--m", "100000", "--p", "1/3"],
         "d619ba73977bff512daebf2ed3d260b420180006a0f52815661b0d50f2d9392b",
@@ -864,6 +864,9 @@ def test_float_moments_refuse_weights_past_double(capsys, monkeypatch, command, 
         )
     else:
         assert err == "" and out.count("\n") > 1
+        if command[0] == "moments" and m == 2:
+            # (n-1)(n-2) alone is past the doubles; (n-1)((n-2) x) is not
+            assert "var_x,,2.6511679687500005e+307" in out.splitlines()
 
 
 def must_not_run(*args, **kwargs):
@@ -871,23 +874,53 @@ def must_not_run(*args, **kwargs):
 
 
 class TestAdmission:
-    """Input classes that only ``cli._admit`` bounds, refused before any work."""
+    """Input classes that only ``cli._admit`` bounds: refused before any work, or answered."""
 
+    # Answered now that the closed forms skip the powers a factor n-1 = 0 multiplies.
     @pytest.mark.parametrize(
         "argv",
         [
             ["moments", "--n", "1", "--m", "100000000", "--p", "1/3"],
             ["moments", "--n", "100000000", "--m", "1", "--p", "1/3", "--format", "json"],
-            # each point alone is within the bound, the four together are not
             ["scan", "--n", "1", "--m", "1000000", "--p-grid", "0:1:1/3"],
         ],
         ids=["n1", "m1", "scan-total"],
     )
-    def test_exact_moments_at_a_side_of_one(self, capsys, monkeypatch, argv):
-        monkeypatch.setattr(cli, "moments", must_not_run)
+    def test_exact_moments_at_a_side_of_one(self, capsys, argv):
+        start = time.perf_counter()
         code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        size = int(argv[argv.index("--n") + 1]) * int(argv[argv.index("--m") + 1])
+        if argv[0] == "scan":
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            assert [row[0] for row in rows] == ["0", "0.33333333333333331", "0.66666666666666663", "1"]
+            for row, p in zip(rows, [Fraction(i, 3) for i in range(4)]):
+                assert row[1:] == ["0", cli._dec((size - 1) * p * p), "0", "undefined"]
+            return
+        p, q = Fraction(1, 3), Fraction(2, 3)
+        var = (size - 1) * p * p * q + (size - 1) ** 2 * p**3 * q
+        if "json" in argv:
+            result = json.loads(out)["result"]
+            assert Fraction(int(result["var_x"]["num"]), int(result["var_x"]["den"])) == var
+            assert result["var_y"] == result["cov"] == {"num": "0", "den": "1"}
+        else:
+            assert f"var_y,{var.numerator}/{var.denominator},{cli._dec(var)}" in out.splitlines()
+            assert "cov,0/1,0" in out.splitlines()
+
+    # Every grid point is within the means' digit bound; the whole grid is not.
+    @pytest.mark.parametrize("n", [2, 500])
+    def test_exact_scan_bounded_by_its_whole_grid(self, capsys, monkeypatch, n):
+        monkeypatch.setattr(cli, "moments", must_not_run)
+        argv = ["scan", "--n", str(n), "--m", "500", "--p-grid", "1/10000:1:1/10000"]
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1
         assert (code, out) == (3, "")
-        assert err.count("\n") == 1 and "below 10^500000" in err
+        assert err == (
+            "error: exact moments need 5.13e+11 squared digits of den(p) powers "
+            "(summed over the grid in scan); capped at 2e+09\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",

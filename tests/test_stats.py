@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -106,6 +107,79 @@ class TestMoments:
         sf = moments(params, Mode.FLOAT)
         assert sf.cov == pytest.approx(float(se.cov), rel=1e-9)
         assert sf.corr == pytest.approx(se.corr, rel=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.sampled_from([Fraction(0), Fraction(1)]) | st.fractions(0, 1, max_denominator=60),
+    )
+    def test_closed_forms_equal_the_falling_moment_route(self, n, m, p):
+        params = ModelParams(n, m, p)
+        s = moments(params)
+        fields = (s.mean_x, s.mean_y, s.var_x, s.var_y, s.cov)
+        assert fields == reference.moments_from_falling_moments(params)
+        assert all(type(value) is Fraction for value in fields)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 60), st.fractions(0, 1, max_denominator=1000))
+    def test_cov_nonnegative_exact(self, n, m, p):
+        assert moments(ModelParams(n, m, p)).cov >= 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 10**150),
+        st.integers(1, 10**150),
+        st.fractions(0, 1, max_denominator=10**12) | st.fractions(0, 1).map(lambda p: p / 10**300),
+    )
+    def test_cov_nonnegative_float(self, n, m, p):
+        s = moments(ModelParams(n, m, p), Mode.FLOAT)
+        assert s.cov >= 0 and s.var_x >= 0 and s.var_y >= 0
+
+    # Float mean, var and cov against exact mode, from the sparse to the dense
+    # end; below the normal doubles the rounding is absolute.
+    @pytest.mark.parametrize(
+        "p",
+        [Fraction(1, 10**6), Fraction(1, 1000), Fraction(1, 3), Fraction(9, 10),
+         Fraction(999, 1000), 1 - Fraction(1, 10**6)],
+        ids=str,
+    )
+    def test_float_within_1e12_of_exact(self, p):
+        sizes = [2, 3, 40, 500, 2000]
+        for n in sizes:
+            for m in sizes:
+                params = ModelParams(n, m, p)
+                exact, approx = moments(params), moments(params, Mode.FLOAT)
+                for name in ("mean_x", "mean_y", "var_x", "var_y", "cov"):
+                    want, got = float(getattr(exact, name)), getattr(approx, name)
+                    assert abs(got - want) <= 1e-12 * abs(want) + sys.float_info.min, (n, m, name)
+
+    @pytest.mark.parametrize("n,m", [(2, 3), (5, 2), (40, 40)])
+    def test_float_where_1_minus_p_is_below_the_doubles(self, n, m):
+        # float(1 - p) is 0.0, so log q comes from the integers of 1 - p
+        params = ModelParams(n, m, 1 - Fraction(1, 10**400))
+        exact, approx = moments(params), moments(params, Mode.FLOAT)
+        for name in ("mean_x", "mean_y", "var_x", "var_y", "cov"):
+            assert getattr(approx, name) == float(getattr(exact, name)), name
+
+    def test_float_right_where_falling_moments_cancelled(self):
+        params = ModelParams(2000, 2000, Fraction(1, 10**6))
+        _, _, var_x, var_y, cov = reference.moments_from_falling_moments(params, exact=False)
+        assert cov < 0 and var_x != var_y
+        s = moments(params, Mode.FLOAT)
+        assert s.cov > 0 and s.var_x == s.var_y
+        # the falling moments gave var_x = -3.6e280 here
+        s = moments(ModelParams(15 * 10**147, 5, Fraction(0)), Mode.FLOAT)
+        assert s.var_x == 0.0
+
+    def test_exact_at_a_side_of_one(self):
+        # X = 0, and Y counts the objects linked through the tracked object's vertex
+        n, m, p = 1, 10**8, Fraction(1, 3)
+        q = 1 - p
+        s = moments(ModelParams(n, m, p))
+        assert (s.mean_x, s.var_x, s.cov, s.corr) == (0, 0, 0, None)
+        assert s.mean_y == (m - 1) * p * p
+        assert s.var_y == (m - 1) * p * p * q + (m - 1) ** 2 * p**3 * q
 
 
 class TestIndependenceGap:
