@@ -13,7 +13,6 @@ from .exact import (
     Scalar,
     SizeCapError,
     as_scalar,
-    binom,
     parse_probability,
 )
 from .pgf import (
@@ -28,7 +27,6 @@ from .pgf import (
     eval_marginal_pgf,
     joint_pmf,
     marginal_pmf,
-    moment_entry,
     moment_table,
     recombination_check,
     sieve_invert,
@@ -58,7 +56,6 @@ __all__ = [
     "Side",
     "SizeCapError",
     "as_scalar",
-    "binom",
     "chi_square",
     "cond_nonadjacency_given_edge",
     "cond_nonadjacency_given_nonedge",
@@ -72,7 +69,6 @@ __all__ = [
     "independence_gap",
     "joint_pmf",
     "marginal_pmf",
-    "moment_entry",
     "moment_table",
     "moments",
     "parse_probability",

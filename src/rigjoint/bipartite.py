@@ -318,12 +318,12 @@ def _add_line(state: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return moved
 
 
-def _line_counts(lines: int, width: int, bit: int) -> np.ndarray:
+def _line_counts(lines: int, width: int) -> np.ndarray:
     """counts[x, y, e] over all tables of ``lines`` lines of ``width`` bits.
 
-    The tracked line is line 0 and the tracked bit is ``bit``. x counts the
+    The tracked line is line 0 and the tracked bit is bit 0. x counts the
     other lines that share a set bit with the tracked line, y the bits other
-    than ``bit`` set in some line that has ``bit`` set, and e the set bits.
+    than bit 0 set in some line that has bit 0 set, and e the set bits.
     """
     import numpy as np
     size, cells = 1 << width, lines * width
@@ -333,27 +333,25 @@ def _line_counts(lines: int, width: int, bit: int) -> np.ndarray:
     # bits r. States past the last x or e hold no count; clamping keeps their
     # targets in range.
     moved_x = np.minimum(x + ((tracked & line) != 0), lines - 1)
-    moved_covered = np.where(line >> bit & 1, covered | line, covered)
+    moved_covered = np.where(line & 1, covered | line, covered)
     moved_e = np.minimum(e + np.bitwise_count(line), cells)
     targets = ((tracked * lines + moved_x) * size + moved_covered) * (cells + 1) + moved_e
     targets = targets.reshape(size, -1)
 
     values = np.arange(size)
     state = np.zeros(shape, dtype=np.int64)
-    state[values, 0, np.where(values >> bit & 1, values, 0), np.bitwise_count(values)] = 1
+    state[values, 0, np.where(values & 1, values, 0), np.bitwise_count(values)] = 1
     state = state.ravel()
     for _ in range(lines - 1):
         state = _add_line(state, targets)
 
     by_covered = state.reshape(shape).sum(axis=0)
     counts = np.zeros((lines, width, cells + 1), dtype=np.int64)
-    np.add.at(counts, (slice(None), np.bitwise_count(values & ~(1 << bit))), by_covered)
+    np.add.at(counts, (slice(None), np.bitwise_count(values & ~1)), by_covered)
     return counts
 
 
-def exhaustive_joint(
-    params: ModelParams, vertex: int = 0, obj: int = 0
-) -> JointDegreeDistribution:
+def exhaustive_joint(params: ModelParams) -> JointDegreeDistribution:
     """Exact joint law by counting every bipartite graph, row by row.
 
     A transfer-matrix count (Stanley, Enumerative Combinatorics I, 4.7): the
@@ -367,24 +365,18 @@ def exhaustive_joint(
     Lines are rows. Transposing a table keeps its edge count and swaps
     vertices with objects and X with Y, so when m > n the lines are columns
     and the result is transposed: a line is then at most 4 bits wide under
-    ENUMERATION_CAP. The tracked pair defaults to (vertex 0, object 0). Every
-    line takes every value, so which line is tracked leaves the count
-    unchanged; the tracked bit is used as given. Exchangeability makes the
-    choice immaterial, and the optional arguments exist to test that.
+    ENUMERATION_CAP. The tracked pair is (vertex 0, object 0); by
+    exchangeability any other pair has the same law.
     """
     n, m = params.n, params.m
     nm = n * m
     if nm > ENUMERATION_CAP:
         raise SizeCapError(f"enumeration needs n*m <= {ENUMERATION_CAP}, got {nm}")
-    if not 0 <= vertex < n:
-        raise IndexError(f"vertex {vertex} out of range for n={n}")
-    if not 0 <= obj < m:
-        raise IndexError(f"object {obj} out of range for m={m}")
 
     if m > n:
-        counts = _line_counts(m, n, vertex).transpose(1, 0, 2)
+        counts = _line_counts(m, n).transpose(1, 0, 2)
     else:
-        counts = _line_counts(n, m, obj)
+        counts = _line_counts(n, m)
     total = int(counts.sum())
     if total != 1 << nm:
         raise ValueError(f"enumeration counted {total} tables, not 2^{nm}")

@@ -344,7 +344,8 @@ def cmd_verify(args, params: ModelParams) -> int:
     enumerated polynomial is one integer over scale * den(x)^(n-1) *
     den(y)^(m-1), cross-multiplied with the table's F, and Fractions are formed
     only to report a mismatch. ``edge_split_recombination`` rebuilds each
-    N[k][l] from the conditionals and reads no table.
+    N[k][l] from the conditionals and compares it with the table's cell, so
+    all three checks test the table that ``pmf`` sieves.
     """
     n, m = params.n, params.m
     oracle = exhaustive_joint(params)
@@ -366,7 +367,7 @@ def cmd_verify(args, params: ModelParams) -> int:
     def recombination_mismatches():
         for k in range(n):
             for l in range(m):
-                lhs, rhs = recombination_check(params, k, l)
+                lhs, rhs = recombination_check(table(), k, l)
                 if lhs != rhs:
                     yield f"(k,l) = ({k},{l}): edge split {lhs}, closed form {rhs}"
 

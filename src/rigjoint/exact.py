@@ -1,4 +1,4 @@
-"""Exact-arithmetic substrate: binomials, probability parsing, and the exact/float switch.
+"""Exact-arithmetic substrate: probability parsing and the exact/float switch.
 
 Every probability computation in this package runs entirely in one arithmetic
 mode: exact or double precision (``float``). Exact mode is the default and the
@@ -11,7 +11,6 @@ expensive. The two are never mixed inside a computation.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from fractions import Fraction
 from typing import Union
@@ -30,13 +29,6 @@ class Mode(Enum):
 
 class SizeCapError(Exception):
     """A computation exceeds its configured size cap."""
-
-
-def binom(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k) as an exact integer; 0 when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError(f"binom requires nonnegative arguments, got ({n}, {k})")
-    return math.comb(n, k)
 
 
 def parse_probability(text: str) -> Fraction:

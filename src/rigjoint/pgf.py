@@ -22,35 +22,37 @@ signed binomial transform along each axis, i.e. inclusion-exclusion
 (``sieve_invert``); reversing indices gives the law of (X, Y). The joint PGF
 is F(x, y) = u(x)^T N v(y) with u_k = x^(n-1-k) (1-x)^k and v_l likewise in y.
 
-Exact mode runs in integers. With p = a/b, every table cell is an integer
-over the common denominator b^(n*m) (``MomentTable``). The table is built a
-column at a time: along a column only k moves, so the closed form's powers in
-k are running products, each term times a fixed step per cell instead of a
-fresh big-integer power; ``moment_entry`` is a run of one cell. The transform
-only adds and subtracts the table's integers, and a law keeps the results as
-integer ``counts`` over that ``scale``, with ``.pmf`` a Fraction view built on
-first access. The marginal moments (``_marginal_form``) are integers over the
-same denominator, each edge-split conditional sums its terms as one integer
-over a power of b (``_power_sum``), and exact PGFs are integer dot products
-with the basis u or v. The transform cancels catastrophically in floating
-point, so there is no float pmf: float mode here covers PGF point evaluation
-(``eval_joint_pgf``, ``eval_marginal_pgf``).
+Exact mode runs in integers. With p = a/b, every table cell is born an integer
+over the common denominator b^(n*m) (``MomentTable``): the closed form emits
+each numerator over that one scale, and nothing pads it later. There is one
+way to evaluate the form, a whole column at a time from k = 0: along a column
+only k moves, so the closed form's powers in k are running products, each term
+times a fixed step per cell instead of a fresh big-integer power. The
+transform only adds and subtracts the table's integers, and a law keeps the
+results as integer ``counts`` over that ``scale``, with ``.pmf`` a Fraction
+view built on first access. The marginal moments (``_marginal_form``) are born
+over the same denominator, each edge-split conditional sums its terms as one
+integer over a power of b (``_power_sum``), and exact PGFs are integer dot
+products with the basis u or v. The transform cancels catastrophically in
+floating point, so there is no float pmf: float mode here covers PGF point
+evaluation (``eval_joint_pgf``, ``eval_marginal_pgf``).
 
 The float joint PGF sums the closed form's triple sum in numpy without
 forming the table (``_eval_joint_float``). Its binomial weights, u(x), v(y)
 and the inner Binomial(l, p) law, are built in log space, so no binomial
 coefficient overflows at any size; Horner's rule in k runs over blocks of l
 at once; and the duality F_{n,m}(x, y) = F_{m,n}(y, x) puts the quadratic
-(l, i) triangle on the shorter side. On [0,1]^2 every term is nonnegative,
-and the sum runs only over a window of k, l and i: F = sum u_k v_l pi(k, l)
+(l, i) triangle on the shorter side. It is evaluated on [0,1]^2 only, where
+every term is nonnegative; off the square the terms alternate in sign and
+cancel, so a point there raises ValueError and exact mode evaluates it. The
+sum runs only over a window of k, l and i: F = sum u_k v_l pi(k, l)
 with u and v binomial laws and 0 <= pi <= 1, so the mass each cut drops
 bounds its error, and each cut drops at most _CUT_TOLERANCE / 3 = 2^-60 / 3
 times a lower bound on F: the larger of Jensen's x^E[X] y^E[Y] and
 (1-p)^(n+m-1) <= P(X=0, Y=0). The cost is then the window's
 size, about the product of the three tails' widths, instead of
 max(n,m) min(n,m)^2 / 2 multiply-adds, and the result agrees with exact mode
-to a relative 1e-9 (1e-12 at 40x40 and 60x60). Outside [0,1]^2 the terms
-alternate in sign, the full sum runs, and only small sizes stay accurate.
+to a relative 1e-9 (1e-12 at 40x40 and 60x60).
 
 The float joint PGF is the only route here that uses numpy, and its three
 functions import it when called. The exact routes (the table, the sieve,
@@ -65,8 +67,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 
-from .exact import Mode, Scalar, as_scalar, binom
+from .exact import Mode, Scalar, as_scalar
 
 # l values per block of the float joint PGF. Larger blocks mean fewer Horner
 # passes over k, hence fewer numpy calls; smaller ones mean less padding above
@@ -246,7 +249,7 @@ def cond_nonadjacency_given_edge(params: ModelParams, k: int, l: int) -> Fractio
     _check_orders(params, k, l)
     n, m = params.n, params.m
     terms = (
-        (binom(m - 1 - l, j - 1) * binom(n - 1 - k, i - 1), i + j - 2,
+        (comb(m - 1 - l, j - 1) * comb(n - 1 - k, i - 1), i + j - 2,
          (m - j) + (j - 1) * k + (n - i) + (i - 1) * l)
         for i in range(1, n - k + 1)
         for j in range(1, m - l + 1)
@@ -267,7 +270,7 @@ def cond_nonadjacency_given_nonedge(params: ModelParams, k: int, l: int) -> Frac
     _check_orders(params, k, l)
     n, m = params.n, params.m
     terms = (
-        (binom(m - 1 - l, j_o) * binom(l, j_s) * binom(n - 1 - k, i_o) * binom(k, i_s),
+        (comb(m - 1 - l, j_o) * comb(l, j_s) * comb(n - 1 - k, i_o) * comb(k, i_s),
          j_o + j_s + i_o + i_s,
          (m - 1 - j_o - j_s) + (n - 1 - i_o - i_s)
          + (j_o + j_s) * k + (i_o + i_s) * l - i_s * j_s)
@@ -279,31 +282,30 @@ def cond_nonadjacency_given_nonedge(params: ModelParams, k: int, l: int) -> Frac
     return _power_sum(params.p, terms)
 
 
-def _closed_form(n: int, m: int, a, c, b, l: int, ks: range) -> list:
-    """Closed product form of N[k][l] for p = a/b and q = c/b, for k in ``ks``.
+def _closed_form(n: int, m: int, a, c, b, l: int) -> list:
+    """Column l of the closed product form: N[k][l] for k = 0..n-1, p = a/b, q = c/b.
 
-    Returns one numerator per k, N[k][l]'s over b^(n*m - (n-1-k)*(m-1-l)),
-    for integers a, b and c = b - a. Along the column only k
-    moves: the weighted powers w_i base_i^k and the leading term
-    a c^(k+l) b^(kl) are formed as written at ``ks.start`` and then carried
-    as running products, times base_i and c b^l per step in k.
+    Returns one numerator per k, each over the table's one scale b^(n*m), for
+    integers a, b and c = b - a. Along the column only k moves: the weighted
+    powers w_i base_i^k and the leading term a c^(k+l) b^(kl) start at k = 0
+    and are carried as running products, times base_i and c b^l per step in k.
     """
-    k = ks.start
     bases = [c ** (i + 1) * b ** (l - i) + a * c**l for i in range(l + 1)]
-    powers = [binom(l, i) * a**i * c ** (l - i) * base**k for i, base in enumerate(bases)]
-    lead = a * c ** (k + l) * b ** (k * l)
+    powers = [comb(l, i) * a**i * c ** (l - i) for i in range(l + 1)]
+    lead = a * c**l
     lead_step = c * b**l
-    per_vertex = c * b**l + a * c**l  # one vertex misses all l marked objects
+    # one vertex misses all l marked objects; padded to b^m, so every cell is over b^(n*m)
+    per_vertex = (c * b**l + a * c**l) * b ** (m - 1 - l)
     column = []
-    for k in ks:
-        if k > ks.start:
+    for k in range(n):
+        if k:
             powers = [w * base for w, base in zip(powers, bases)]
             lead *= lead_step
         bracket = lead + c * sum(powers)  # over b^((k+1)(l+1))
         per_object = c * b**k + a * c**k  # one object misses all k marked vertices
         column.append(
-            binom(n - 1, k)
-            * binom(m - 1, l)
+            comb(n - 1, k)
+            * comb(m - 1, l)
             * per_object ** (m - 1 - l)
             * per_vertex ** (n - 1 - k)
             * bracket
@@ -311,31 +313,19 @@ def _closed_form(n: int, m: int, a, c, b, l: int, ks: range) -> list:
     return column
 
 
-def moment_entry(params: ModelParams, k: int, l: int) -> Fraction:
-    """Falling moment N[k][l] = E[C(Y1,k) C(Y2,l)] of the non-neighbor counts."""
-    _check_orders(params, k, l)
-    n, m = params.n, params.m
-    a, b = params.p.numerator, params.p.denominator
-    numerator = _closed_form(n, m, a, b - a, b, l, range(k, k + 1))[0]
-    return Fraction(numerator, b ** (n * m - (n - 1 - k) * (m - 1 - l)))
-
-
 def moment_table(params: ModelParams) -> MomentTable:
     """Dense table of all falling moments N[k][l], 0 <= k < n, 0 <= l < m.
 
-    Every cell is an integer over den(p)^(n*m). ``_closed_form``'s inner sum
-    runs over l, so the table is built with n >= m and transposed when m > n,
-    by the duality N_{n,m}[k][l] = N_{m,n}[l][k]. It is built a column (one l,
-    every k) per ``_closed_form`` call, so the powers in k are running
-    products rather than a fresh big-integer power per cell.
+    Every cell is born an integer over den(p)^(n*m): ``_closed_form`` emits
+    its numerators over that one scale. Its inner sum runs over l, so the
+    table is built with n >= m and transposed when m > n, by the duality
+    N_{n,m}[k][l] = N_{m,n}[l][k]. It is built a column (one l, every k) per
+    ``_closed_form`` call, so the powers in k are running products rather
+    than a fresh big-integer power per cell.
     """
     rows, cols = max(params.n, params.m), min(params.n, params.m)
     a, b = params.p.numerator, params.p.denominator
-    columns = [
-        [e * b ** ((rows - 1 - k) * (cols - 1 - l))
-         for k, e in enumerate(_closed_form(rows, cols, a, b - a, b, l, range(rows)))]
-        for l in range(cols)
-    ]
+    columns = [_closed_form(rows, cols, a, b - a, b, l) for l in range(cols)]
     numerators = tuple(map(tuple, columns if params.n < params.m else zip(*columns)))
     return MomentTable(params, b ** (params.n * params.m), numerators)
 
@@ -376,19 +366,27 @@ def eval_joint_pgf(params: ModelParams, x: Scalar, y: Scalar, mode: Mode = Mode.
     """Evaluate the joint PGF F(x, y) = E[x^X y^Y] at one point.
 
     Exact mode reads F off the moment table (``MomentTable.eval_pgf``). Float
-    mode sums the closed form vectorized (see _eval_joint_float).
+    mode sums the closed form vectorized (see _eval_joint_float), and only on
+    [0,1]^2: off the square its terms alternate in sign and cancel, so a point
+    there raises ValueError; exact mode evaluates it.
     """
     if mode is Mode.FLOAT:
-        return _eval_joint_float(params, float(x), float(y))
+        x, y = float(x), float(y)
+        if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+            raise ValueError(
+                f"float joint PGF is evaluated on [0,1]^2 only, got ({x}, {y}); "
+                "use exact mode off the square"
+            )
+        return _eval_joint_float(params, x, y)
     return moment_table(params).eval_pgf(x, y)
 
 
 def _binomial_weights(t: float, top, k) -> np.ndarray:
-    """C(top, k) t^(top-k) (1-t)^k, broadcast over integer arrays ``top`` and ``k``.
+    """C(top, k) t^(top-k) (1-t)^k for t in [0, 1], broadcast over integer arrays top and k.
 
     Zero where k > top. Built in log space from a log-factorial table, so
-    neither the binomial coefficient nor the powers overflow; the sign is put
-    back for t outside [0, 1], and t = 0 or 1 gives exact zeros and ones.
+    neither the binomial coefficient nor the powers overflow; t = 0 or 1 gives
+    exact zeros and ones.
     """
     import numpy as np
     top, k = np.broadcast_arrays(top, k)
@@ -398,10 +396,9 @@ def _binomial_weights(t: float, top, k) -> np.ndarray:
     log_fact = np.array([math.lgamma(v + 1) for v in range(int(max(top.max(), k.max())) + 1)])
     logs = (
         log_fact[top] - log_fact[k] - log_fact[j]
-        + j * math.log(abs(t)) + k * math.log(abs(1.0 - t))
+        + j * math.log(t) + k * math.log(1.0 - t)
     )
-    odd = j * (t < 0) + k * (t > 1)
-    return np.where(k <= top, np.where(odd % 2, -1.0, 1.0) * np.exp(logs), 0.0)
+    return np.where(k <= top, np.exp(logs), 0.0)
 
 
 def _window(weights: np.ndarray, budget: float) -> tuple:
@@ -429,7 +426,7 @@ def _eval_joint_float(params: ModelParams, x: float, y: float) -> float:
     k0, and then multiplies by base^k0. By the duality
     F_{n,m}(x, y) = F_{m,n}(y, x) the l side is the shorter one.
 
-    On [0,1]^2 the sum runs only over a window: k in [k0, k1), trimming both
+    The sum runs only over a window: k in [k0, k1), trimming both
     tails of u = Binomial(n-1, 1-x); l in [l0, l1), likewise for
     v = Binomial(m-1, 1-y); and i <= I. Write F = sum u_k v_l pi(k, l), where
     pi, the probability that the tracked pair avoids k marked vertices and l
@@ -444,11 +441,10 @@ def _eval_joint_float(params: ModelParams, x: float, y: float) -> float:
     (x = 0 or y = 0) or underflows. So the result moves by at most
     _CUT_TOLERANCE relative (up to the float rounding of the tail sums). Then
     the cost is the window's size, not the max(n,m) min(n,m)^2 / 2
-    multiply-adds of the full sum. Nothing is cut but exact zeros at the top
-    of u and v, and the full sum runs, off the square, where the terms
-    alternate in sign and can cancel, and where the tolerance times the bound
-    is below the smallest normal double, where subnormal weights would make
-    the tail sums inexact.
+    multiply-adds of the full sum. Where the tolerance times the bound is
+    below the smallest normal double, subnormal weights would make the tail
+    sums inexact, so there nothing is cut but exact zeros at the top of u and
+    v, and the full sum runs.
     """
     import numpy as np
     n, m = params.n, params.m
@@ -458,12 +454,9 @@ def _eval_joint_float(params: ModelParams, x: float, y: float) -> float:
     q = 1.0 - p
     u = _binomial_weights(x, n - 1, np.arange(n))
     v = _binomial_weights(y, m - 1, np.arange(m))
-    budget = 0.0
-    if 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0:
-        s = 1.0 - p * p
-        jensen = x ** ((n - 1) * (1.0 - s**m)) * y ** ((m - 1) * (1.0 - s**n))
-        bound = max(jensen, q ** (n + m - 1))
-        budget = _CUT_TOLERANCE / 3 * bound
+    s = 1.0 - p * p
+    jensen = x ** ((n - 1) * (1.0 - s**m)) * y ** ((m - 1) * (1.0 - s**n))
+    budget = _CUT_TOLERANCE / 3 * max(jensen, q ** (n + m - 1))
     if budget >= sys.float_info.min:
         k0, k1 = _window(u, budget)
         l0, l1 = _window(v, budget)
@@ -498,20 +491,17 @@ def _eval_joint_float(params: ModelParams, x: float, y: float) -> float:
 def _marginal_form(size: int, other: int, a, c, b, k: int):
     """Marginal falling moment C(size-1, k) (q + p q^k)^other for p = a/b, q = c/b.
 
-    Returns the numerator over b^(other*(k+1)). Exact mode passes integers with
-    c = b - a; float mode passes (p, 1-p, 1.0), so the result is the moment.
+    Returns the numerator over b^(size*other), the joint table's scale. Exact
+    mode passes integers with c = b - a; float mode passes (p, 1-p, 1.0), so
+    the result is the moment.
     """
-    return binom(size - 1, k) * (c * b**k + a * c**k) ** other
+    return comb(size - 1, k) * ((c * b**k + a * c**k) * b ** (size - 1 - k)) ** other
 
 
 def _marginal_moments(size: int, other: int, p: Fraction) -> tuple:
     """Marginal falling moments as integer numerators over den(p)^(n*m), and that scale."""
     a, b = p.numerator, p.denominator
-    numerators = [
-        _marginal_form(size, other, a, b - a, b, k) * b ** (other * (size - 1 - k))
-        for k in range(size)
-    ]
-    return numerators, b ** (size * other)
+    return [_marginal_form(size, other, a, b - a, b, k) for k in range(size)], b ** (size * other)
 
 
 def eval_marginal_pgf(
@@ -547,21 +537,22 @@ def marginal_pmf(params: ModelParams, side: Side) -> MarginalDistribution:
     return MarginalDistribution(side, scale, tuple(_sieve(numerators))[::-1])
 
 
-def recombination_check(params: ModelParams, k: int, l: int) -> tuple:
+def recombination_check(table: MomentTable, k: int, l: int) -> tuple:
     """Rebuild N[k][l] from the edge/non-edge conditionals; return (lhs, rhs).
 
     lhs multiplies the subset count C(n-1,k) C(m-1,l) into the edge-split
     mixture p * P(avoid | edge) + (1-p) * P(avoid | no edge); rhs is the
-    closed form. Callers assert lhs == rhs.
+    table's cell ``table.entry(k, l)``. Callers assert lhs == rhs.
     """
+    params = table.params
     _check_orders(params, k, l)
     p = params.p
     lhs = (
-        binom(params.n - 1, k)
-        * binom(params.m - 1, l)
+        comb(params.n - 1, k)
+        * comb(params.m - 1, l)
         * (
             p * cond_nonadjacency_given_edge(params, k, l)
             + (1 - p) * cond_nonadjacency_given_nonedge(params, k, l)
         )
     )
-    return lhs, moment_entry(params, k, l)
+    return lhs, table.entry(k, l)

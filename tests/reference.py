@@ -17,7 +17,8 @@ instead, and is checked equal to it.
 ``joint_pgf_float_full`` is the float joint PGF summed over every (k, l, i)
 term, with no window. The library's windowed sum is checked against it. It
 uses the library's binomial weights and block size, so at points where the
-library cuts nothing (x or y outside [0, 1]) the two agree bit for bit.
+library cuts nothing (its window's budget below the smallest normal double)
+the two agree bit for bit.
 """
 
 import math
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from rigjoint.pgf import _L_BLOCK, _binomial_weights, moment_entry
+from rigjoint.pgf import _L_BLOCK, _binomial_weights, moment_table
 
 
 def all_graphs(n, m):
@@ -252,15 +253,16 @@ def moments_from_falling_moments(params, exact=True):
 
     With Y1 = n-1-X and Y2 = m-1-Y, E[Y1] = N[1][0], E[Y1(Y1-1)] = 2 N[2][0]
     and E[Y1 Y2] = N[1][1]; shifting by constants leaves the variances and the
-    covariance unchanged. Exact cells come from ``pgf.moment_entry``, float
-    cells from ``moment_entry_float``. In float mode var and cov cancel.
+    covariance unchanged. Exact cells are read off ``pgf.moment_table``, float
+    cells come from ``moment_entry_float``. In float mode var and cov cancel.
     """
     n, m = params.n, params.m
+    table = moment_table(params) if exact else None
 
     def entry(k, l):
         if k > n - 1 or l > m - 1:  # an empty falling product
             return Fraction(0) if exact else 0.0
-        return moment_entry(params, k, l) if exact else moment_entry_float(params, k, l)
+        return table.entry(k, l) if exact else moment_entry_float(params, k, l)
 
     n10, n01 = entry(1, 0), entry(0, 1)
     n20, n02, n11 = entry(2, 0), entry(0, 2), entry(1, 1)

@@ -21,6 +21,7 @@ from rigjoint import (
     exhaustive_joint,
     joint_pmf,
     marginal_pmf,
+    moment_table,
     moments,
     recombination_check,
     tv_distance,
@@ -90,8 +91,9 @@ def test_criterion_04_transform_identity():
                 polynomials.append(exhaustive_joint(params).pmf)
             rebuilt = None
             if n <= 6 and m <= 6:
+                table = moment_table(params)
                 rebuilt = [
-                    [recombination_check(params, k, l)[0] for l in range(m)] for k in range(n)
+                    [recombination_check(table, k, l)[0] for l in range(m)] for k in range(n)
                 ]
             for _ in range(20):
                 x = Fraction(rnd.choice(nonzero), rnd.randint(1, 6))
@@ -112,10 +114,10 @@ def test_criterion_05_recombination():
     for n in range(1, 7):
         for m in range(1, 7):
             for p in [Fraction(1, 3), Fraction(1, 2)]:
-                params = ModelParams(n, m, p)
+                table = moment_table(ModelParams(n, m, p))
                 for k in range(n):
                     for l in range(m):
-                        lhs, rhs = recombination_check(params, k, l)
+                        lhs, rhs = recombination_check(table, k, l)
                         ok = ok and lhs == rhs
     _report(5, "edge-split recombination rebuilds every moment (n,m <= 6)", ok)
 

@@ -250,11 +250,13 @@ class TestExhaustiveJoint:
 
     @pytest.mark.parametrize("n,m", [(3, 3), (2, 4), (4, 2), (2, 5), (5, 2)])
     def test_exchangeable_in_tracked_pair(self, n, m):
-        params = ModelParams(n, m, Fraction(2, 5))
-        base = exhaustive_joint(params)
+        # exhaustive_joint tracks (vertex 0, object 0); every other pair has its law
+        p = Fraction(2, 5)
+        base = exhaustive_joint(ModelParams(n, m, p)).pmf
         for vertex in range(n):
             for obj in range(m):
-                assert exhaustive_joint(params, vertex=vertex, obj=obj).pmf == base.pmf
+                law = reference.joint_law(n, m, p, vertex, obj)
+                assert reference.law_as_table(law, n, m) == base
 
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
@@ -278,12 +280,6 @@ class TestExhaustiveJoint:
         )
         with pytest.raises(ValueError, match=guard):
             exhaustive_joint(ModelParams(n, m, HALF))
-
-    def test_tracked_index_bounds(self):
-        with pytest.raises(IndexError):
-            exhaustive_joint(P22, vertex=2)
-        with pytest.raises(IndexError):
-            exhaustive_joint(P22, obj=5)
 
     @pytest.mark.parametrize("n,m", [(2, 2), (3, 4), (4, 4), (2, 8)])
     @pytest.mark.parametrize("p", [Fraction(1, 4), HALF, Fraction(2, 3)])

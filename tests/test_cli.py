@@ -608,9 +608,10 @@ class TestVerifyCommand:
     def wrong_closed_form(self, monkeypatch):
         original = pgf._closed_form
 
-        def per_vertex_exponent_n_minus_k(n, m, a, c, b, l, ks):
-            # _closed_form with the per-vertex exponent n-1-k changed to n-k
-            return [e * (c * b**l + a * c**l) for e in original(n, m, a, c, b, l, ks)]
+        def per_vertex_exponent_n_minus_k(n, m, a, c, b, l):
+            # _closed_form with the per-vertex exponent n-1-k changed to n-k,
+            # the extra factor c b^l + a c^l left off the common scale
+            return [e * (c * b**l + a * c**l) for e in original(n, m, a, c, b, l)]
 
         monkeypatch.setattr(pgf, "_closed_form", per_vertex_exponent_n_minus_k)
 
@@ -640,15 +641,15 @@ class TestVerifyCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         assert err == (
             "enumeration_vs_formula: entry (0,0) must equal 1, got 5\n"
-            "edge_split_recombination: first mismatch at (k,l) = (0,0): edge split 1, "
-            "closed form 5\n"
+            "edge_split_recombination: entry (0,0) must equal 1, got 5\n"
             "pgf_transform_identity: entry (0,0) must equal 1, got 5\n"
         )
 
     def test_wrong_running_product_in_k_fails(self, capsys, monkeypatch):
         # _closed_form with the leading term's step in k changed from c b^l to
-        # c b^(l+1). The first k of a run is formed as written, so single entries
-        # (moment_entry) stay right and only the table's later rows go wrong.
+        # c b^(l+1). Each column run's first cell stays right and only its later
+        # cells go wrong; the edge split reads the same table, so it fails too.
+        # At 4x5 the table is built 5x4 and transposed, so (0,1) is the first.
         step, wrong_step = "lead_step = c * b**l\n", "lead_step = c * b ** (l + 1)\n"
         source = textwrap.dedent(inspect.getsource(pgf._closed_form))
         assert source.count(step) == 1
@@ -661,11 +662,15 @@ class TestVerifyCommand:
         assert out.splitlines() == [
             "check,status",
             "enumeration_vs_formula,FAIL",
-            "edge_split_recombination,PASS",
+            "edge_split_recombination,FAIL",
             "pgf_transform_identity,FAIL",
         ]
-        assert err.splitlines()[0] == (
+        lines = err.splitlines()
+        assert lines[0] == (
             "enumeration_vs_formula: not a valid falling-moment table (negative probability)"
+        )
+        assert lines[1].startswith(
+            "edge_split_recombination: first mismatch at (k,l) = (0,1): edge split "
         )
         code, out, _ = run(capsys, argv + ["--format", "json"])
         assert code == 1
@@ -686,16 +691,17 @@ class TestVerifyCommand:
         assert out.splitlines() == [
             "check,status",
             "enumeration_vs_formula,FAIL",
-            "edge_split_recombination,PASS",
+            "edge_split_recombination,FAIL",
             "pgf_transform_identity,FAIL",
         ]
         lines = err.splitlines()
-        assert len(lines) == 2
+        assert len(lines) == 3
         assert lines[0].startswith("enumeration_vs_formula: first mismatch at (a,b) = (0,0): ")
-        assert lines[1].startswith(
+        assert lines[1].startswith("edge_split_recombination: first mismatch at (k,l) = (0,1): ")
+        assert lines[2].startswith(
             "pgf_transform_identity: first mismatch at (x,y) = (2/3,3/5): PGF "
         )
-        assert "enumerated polynomial" in lines[1]
+        assert "enumerated polynomial" in lines[2]
 
     def test_pgf_identity_fails_on_its_own(self, capsys, monkeypatch):
         # the table and its sieved law stay right; only F as read off the table is off

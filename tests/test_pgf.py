@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +18,6 @@ from rigjoint import (
     eval_marginal_pgf,
     joint_pmf,
     marginal_pmf,
-    moment_entry,
     moment_table,
     recombination_check,
     sieve_invert,
@@ -118,29 +119,29 @@ class TestConditionals:
 
 class TestMomentEntry:
     def test_trivial_order_zero(self):
-        assert moment_entry(P22, 0, 0) == 1
+        assert moment_table(P22).entry(0, 0) == 1
 
     def test_pinned_entries(self):
-        assert moment_entry(ModelParams(3, 2, HALF), 1, 0) == Fraction(9, 8)
-        assert moment_entry(P22, 1, 1) == Fraction(7, 16)
+        assert moment_table(ModelParams(3, 2, HALF)).entry(1, 0) == Fraction(9, 8)
+        assert moment_table(P22).entry(1, 1) == Fraction(7, 16)
 
     def test_first_order_closed_forms(self):
         # N[1][0] = (n-1)(1-p^2)^m and N[0][1] = (m-1)(1-p^2)^n, both
         # pre-validated against the enumeration oracle at small sizes.
         for n, m, p in [(2, 2, HALF), (3, 2, HALF), (2, 3, THIRD)]:
-            params = ModelParams(n, m, p)
+            table = moment_table(ModelParams(n, m, p))
             if n >= 2:
                 expect = (n - 1) * (1 - p * p) ** m
-                assert moment_entry(params, 1, 0) == expect
+                assert table.entry(1, 0) == expect
                 assert reference.falling_moment(n, m, p, 1, 0) == expect
             if m >= 2:
                 expect = (m - 1) * (1 - p * p) ** n
-                assert moment_entry(params, 0, 1) == expect
+                assert table.entry(0, 1) == expect
                 assert reference.falling_moment(n, m, p, 0, 1) == expect
         for n, m, p in [(12, 17, Fraction(2, 7)), (20, 20, Fraction(9, 10))]:
-            params = ModelParams(n, m, p)
-            assert moment_entry(params, 1, 0) == (n - 1) * (1 - p * p) ** m
-            assert moment_entry(params, 0, 1) == (m - 1) * (1 - p * p) ** n
+            table = moment_table(ModelParams(n, m, p))
+            assert table.entry(1, 0) == (n - 1) * (1 - p * p) ** m
+            assert table.entry(0, 1) == (m - 1) * (1 - p * p) ** n
 
     # float.hex() of float N[k][l] at (1,0), (0,1), (2,0), (0,2), (1,1), pinned
     # from the one-entry expressions as they stood before the table moved to
@@ -195,19 +196,43 @@ class TestMomentTable:
             assert table.entry(0, 0) == 1
             assert all(table.entry(k, l) >= 0 for k in range(n) for l in range(m))
 
-    # The table builds a column per call from running products in k, while
-    # moment_entry forms its one cell as written: two paths, one rational.
+    # sha256 of the numerators, comma-joined row by row, at 40x17, 17x40 and
+    # 40x40, pinned when each cell was still formed over its own power of
+    # den(p) and padded to den(p)^(n*m) afterwards.
     @pytest.mark.parametrize(
-        "p", [Fraction(0), Fraction(1), HALF, Fraction(3, 7), Fraction(5, 12)], ids=str
+        "p, digests",
+        [
+            (Fraction(0),
+             ["5761eb56405bd2539c7ea356d9abbdeee01060f96978ecaa157a965984a224dd",
+              "815dac6d6002fa642da48180e893e6b0b3190ec08643127b8f960ce421f8c5dc",
+              "7133e9ad898274af02371aae811f60a41e27eabecd600f38b7fe8e99cf81af7e"]),
+            (Fraction(1),
+             ["21fa1bf6c4916b1b7561c7c9bdbdadee0c7b05f739a7eccf2958c4d6c8f1552a",
+              "21fa1bf6c4916b1b7561c7c9bdbdadee0c7b05f739a7eccf2958c4d6c8f1552a",
+              "7c74f19265d3bab6d6845537969d8d021767fc7b8246d881a16c161030fcb734"]),
+            (HALF,
+             ["698b856012107f4587bbf580c6ba6bbe5590d70e9e768719e1d4d4552ee05976",
+              "047d76832f46f668d4299abcb3bd438ee06a58f9a8860ecf573b77cefdedcca6",
+              "f15d85b53e2c2ee848b4fec082b8cd53c3f2037f35ff83fcc18809365ded142f"]),
+            (Fraction(3, 7),
+             ["96ef292b45e7fc7ef417fcdaf964fca4fde44deac6df4c07c8bc6db9a35cb044",
+              "492ebb1a02a6c1436502e995bacceb99c8b14e567a3be7ed269a701595f598b2",
+              "392e5ee63c1441d97da333028b751201adf593d0ad3ec4e29b6c62e83f9a712d"]),
+            (Fraction(5, 12),
+             ["01571b2101b4ea2d451d2c4ecc6809b6065d88882fdf629ab0ef9b2759e3c451",
+              "0d9ba2df5f8891dedbff69aa856de4eee6650d6ce75f704c3688ac2554a0a610",
+              "75b7d522b70984d481eef12ba2742cfa2b6f107e99c648111ff5c7c32fbe4da9"]),
+        ],
+        ids=["0", "1", "1/2", "3/7", "5/12"],
     )
-    def test_every_cell_matches_moment_entry(self, p):
-        shapes = [(n, m) for n in range(1, 11) for m in range(1, 11)] + [(40, 17), (17, 40)]
-        for n, m in shapes:
-            params = ModelParams(n, m, p)
-            table = moment_table(params)
-            for k in range(n):
-                for l in range(m):
-                    assert table.entry(k, l) == moment_entry(params, k, l), (n, m, k, l)
+    def test_numerators_keep_their_digests(self, p, digests):
+        got = []
+        for n, m in [(40, 17), (17, 40), (40, 40)]:
+            table = moment_table(ModelParams(n, m, p))
+            assert table.scale == p.denominator ** (n * m)
+            text = ",".join(str(e) for row in table.numerators for e in row)
+            got.append(hashlib.sha256(text.encode()).hexdigest())
+        assert got == digests
 
 
 class TestSieveInvert:
@@ -341,9 +366,8 @@ class TestEvalJointPgf:
         for n, m, p in [(3, 3, Fraction(2, 3)), (5, 4, Fraction(1, 5)), (2, 7, HALF)]:
             params = ModelParams(n, m, p)
             enumerated = exhaustive_joint(params).pmf
-            rebuilt = [
-                [recombination_check(params, k, l)[0] for l in range(m)] for k in range(n)
-            ]
+            table = moment_table(params)
+            rebuilt = [[recombination_check(table, k, l)[0] for l in range(m)] for k in range(n)]
             for _ in range(8):
                 x = Fraction(rnd.choice([-9, -5, -2, -1, 1, 2, 4, 9]), rnd.randint(1, 6))
                 y = Fraction(rnd.choice([-7, -3, -1, 1, 3, 8]), rnd.randint(1, 6))
@@ -354,19 +378,18 @@ class TestEvalJointPgf:
 
     def test_float_mode_tracks_exact(self):
         corners = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        points = [(HALF, Fraction(5, 4)), (Fraction(9, 10), Fraction(3, 10))] + corners
-        outside = [(Fraction(3, 2), -HALF), (-HALF, Fraction(7, 4))]
+        points = [(HALF, Fraction(4, 5)), (Fraction(9, 10), Fraction(3, 10))] + corners
         grid = [(Fraction(i, 4), Fraction(j, 5)) for i in range(5) for j in range(6)]
         cases = [
-            (2, 2, HALF, points + outside),
-            (9, 14, Fraction(3, 10), points + outside),
-            (14, 9, Fraction(3, 10), points + outside),
+            (2, 2, HALF, points),
+            (9, 14, Fraction(3, 10), points),
+            (14, 9, Fraction(3, 10), points),
             (20, 20, Fraction(1, 7), points),
-            (1, 1, THIRD, points + outside),
-            (1, 6, Fraction(2, 5), points + outside),
-            (6, 1, Fraction(2, 5), points + outside),
-            (5, 7, Fraction(0), points + outside),
-            (7, 5, Fraction(1), points + outside),
+            (1, 1, THIRD, points),
+            (1, 6, Fraction(2, 5), points),
+            (6, 1, Fraction(2, 5), points),
+            (5, 7, Fraction(0), points),
+            (7, 5, Fraction(1), points),
             # Binomial(l, p) weights spread out: the accuracy gate on [0,1]^2.
             (40, 40, HALF, grid),
             # Past n = 1030, where C(n-1, k) no longer fits a float.
@@ -379,10 +402,8 @@ class TestEvalJointPgf:
             for x, y in xys:
                 exact = table.eval_pgf(x, y)
                 approx = eval_joint_pgf(params, float(x), float(y), Mode.FLOAT)
-                # On [0,1]^2 every term is nonnegative, so the gate is purely
-                # relative; outside it the terms cancel.
-                inside = 0 <= x <= 1 and 0 <= y <= 1
-                assert approx == pytest.approx(float(exact), rel=1e-9, abs=0 if inside else 1e-12)
+                # On [0,1]^2 every term is nonnegative, so the gate is purely relative.
+                assert approx == pytest.approx(float(exact), rel=1e-9, abs=0)
 
     # On [0,1]^2 the float joint PGF sums only a window of its (k, l, i) terms,
     # dropping at most 2^-60 of F; reference.joint_pgf_float_full sums them all.
@@ -409,15 +430,19 @@ class TestEvalJointPgf:
         full = reference.joint_pgf_float_full(params, x, y)
         assert eval_joint_pgf(params, x, y, Mode.FLOAT) == pytest.approx(full, rel=1e-13, abs=0)
 
-    def test_float_off_square_is_the_full_sum(self):
-        points = [(1.5, -0.5), (-0.5, 1.75), (0.5, 1.25), (-0.25, 0.5), (2.0, 0.9), (0.3, -1.0)]
+    def test_float_off_square_is_refused(self):
+        # Off [0,1]^2 the terms alternate in sign and cancel: at 40x40, p=3/7,
+        # (3/2, -1/2) the float sum was 3.3e-4 relative off the exact value.
+        points = [(1.5, -0.5), (-0.5, 1.75), (0.5, 1.25), (-0.25, 0.5), (2.0, 0.9),
+                  (0.3, -1.0), (Fraction(3, 2), -HALF), (-HALF, Fraction(7, 4)),
+                  (1.0 + 2.0**-52, 0.5), (0.5, -(2.0**-1074)), (math.nan, 0.5), (0.5, math.inf)]
         for n, m, p in [(40, 40, Fraction(3, 7)), (9, 14, Fraction(3, 10)),
-                        (14, 9, Fraction(3, 10)), (25, 70, Fraction(1, 100))]:
+                        (14, 9, Fraction(3, 10)), (25, 70, Fraction(1, 100)), (1, 1, THIRD),
+                        (5, 7, Fraction(0)), (7, 5, Fraction(1))]:
             params = ModelParams(n, m, p)
             for x, y in points:
-                assert eval_joint_pgf(params, x, y, Mode.FLOAT) == reference.joint_pgf_float_full(
-                    params, x, y
-                )
+                with pytest.raises(ValueError, match=r"\[0,1\]\^2 only.*exact mode"):
+                    eval_joint_pgf(params, x, y, Mode.FLOAT)
 
     def test_float_window_edge_cases(self):
         edges = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0),
@@ -509,16 +534,26 @@ class TestMarginals:
 
 class TestRecombination:
     def test_pinned(self):
-        lhs, rhs = recombination_check(P22, 1, 1)
+        table = moment_table(P22)
+        lhs, rhs = recombination_check(table, 1, 1)
         assert lhs == rhs == Fraction(7, 16)
-        lhs, rhs = recombination_check(P22, 0, 0)
+        lhs, rhs = recombination_check(table, 0, 0)
         assert lhs == rhs == 1
 
     def test_exact_equality_including_enumeration(self):
-        params = ModelParams(3, 3, Fraction(2, 3))
-        lhs, rhs = recombination_check(params, 2, 1)
+        table = moment_table(ModelParams(3, 3, Fraction(2, 3)))
+        lhs, rhs = recombination_check(table, 2, 1)
         assert lhs == rhs
         assert rhs == reference.falling_moment(3, 3, Fraction(2, 3), 2, 1)
+
+    def test_reads_the_table(self):
+        # the law at 1-p is a valid table, just the wrong one
+        params = ModelParams(3, 4, Fraction(2, 5))
+        swapped = moment_table(ModelParams(3, 4, Fraction(3, 5)))
+        table = MomentTable(params, swapped.scale, swapped.numerators)
+        lhs, rhs = recombination_check(table, 0, 1)
+        assert rhs == swapped.entry(0, 1)
+        assert lhs == moment_table(params).entry(0, 1) != rhs
 
     @pytest.mark.parametrize(
         "n,m,p",
@@ -533,10 +568,10 @@ class TestRecombination:
         ],
     )
     def test_all_orders(self, n, m, p):
-        params = ModelParams(n, m, p)
+        table = moment_table(ModelParams(n, m, p))
         for k in range(n):
             for l in range(m):
-                lhs, rhs = recombination_check(params, k, l)
+                lhs, rhs = recombination_check(table, k, l)
                 assert lhs == rhs
 
 
