@@ -22,8 +22,8 @@ the batches out to parallel lanes of threads, one per available CPU up to
 ``MAX_LANES``: lane w runs batches w, w + L, w + 2L, ... numpy's ufuncs,
 fancy indexing and ``nonzero`` release the GIL, so the lanes overlap. Each
 lane holds one batch's temporaries at a time, so memory is about the lane
-count times one batch. Neither the batch size nor the lane count ever
-changes a result.
+count times one batch. The tallies are the same for any ``BATCH_BYTES`` and
+lane count.
 
 ``exhaustive_joint`` is the ground-truth oracle: it counts every one of the
 2^(n*m) adjacency tables exactly, row by row (a transfer-matrix count), by
@@ -46,7 +46,7 @@ import os
 import threading
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 from .exact import SizeCapError
 from .pgf import JointDegreeDistribution, ModelParams
@@ -56,11 +56,11 @@ from .pgf import JointDegreeDistribution, ModelParams
 # sweep of the integer edge-split conditionals at most 0.004 s (n*m <= 22) and 0.021 s at 8x8.
 ENUMERATION_CAP = 22
 
-# Bytes of the largest array a Monte Carlo batch holds when no batch size is
-# given (768 KB). A batch holds a few arrays about that size, and this keeps
-# them in a 2 MB L2 cache. On 2 vCPUs, every benchmark sampler job ran at
-# least as fast with it as with 4096 trials per batch, and the 20x20
-# correlation more than twice as fast.
+# Bytes of the largest array a Monte Carlo batch holds (768 KB). A batch
+# holds a few arrays about that size, and this keeps them in a 2 MB L2
+# cache. On 2 vCPUs, every benchmark sampler job ran at least as fast with
+# it as with 4096 trials per batch, and the 20x20 correlation more than
+# twice as fast.
 BATCH_BYTES = 3 << 18
 
 # Most lanes (threads) a sampler runs its batches on; fewer when the process
@@ -114,16 +114,12 @@ def sample_words(params: ModelParams) -> float:
     return n + m + 2 * float(params.p) * n * m
 
 
-def batch_trials(bytes_per_trial: float, batch_size: Optional[int]) -> int:
-    """Trials per batch: ``batch_size`` if given, else as many as fit ``BATCH_BYTES``.
+def batch_trials(bytes_per_trial: float) -> int:
+    """Trials per batch: as many as fit ``BATCH_BYTES``, and at least one.
 
     ``bytes_per_trial`` is what one trial adds to the batch's largest array.
     """
-    if batch_size is None:
-        return max(1, int(BATCH_BYTES // bytes_per_trial))
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
-    return batch_size
+    return max(1, int(BATCH_BYTES // bytes_per_trial))
 
 
 def _cpus() -> int:
@@ -270,9 +266,7 @@ def _degree_batch(params: ModelParams, seed: int, start: int, count: int) -> tup
     return x, y
 
 
-def empirical_joint(
-    params: ModelParams, trials: int, seed: int, batch_size: Optional[int] = None
-) -> EmpiricalJointDistribution:
+def empirical_joint(params: ModelParams, trials: int, seed: int) -> EmpiricalJointDistribution:
     """Tally the degree pair over ``trials`` seeded Monte Carlo realizations.
 
     Trial i uses ``derive_trial_seed(seed, i)``, and edge (a, b) of a trial is
@@ -281,8 +275,8 @@ def empirical_joint(
     of the vertices in N(o0), about n + m + 2p*n*m words instead of n*m.
     Each word drawn is the one the full adjacency would hold, so the tallies
     equal those of whole sampled graphs and are the same for any
-    ``batch_size`` and lane count. By default a batch's largest array holds
-    about ``BATCH_BYTES``: the counters of the cells that cross the tracked
+    ``BATCH_BYTES`` and lane count. A batch's largest array holds about
+    ``BATCH_BYTES``: the counters of the cells that cross the tracked
     row's or column's edges, about p*n*m words per trial, or the tracked row
     or column itself. Each lane of ``run_batches`` tallies into its own
     array, and the lanes' tallies are summed.
@@ -291,7 +285,7 @@ def empirical_joint(
     if trials < 1:
         raise ValueError("trials must be positive")
     n, m = params.n, params.m
-    batch_size = batch_trials(8 * max(n, m, float(params.p) * n * m), batch_size)
+    batch_size = batch_trials(8 * max(n, m, float(params.p) * n * m))
 
     def tally(batches):
         counts = np.zeros(n * m, dtype=np.int64)

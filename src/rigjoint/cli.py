@@ -17,7 +17,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import re
 import sys
 from fractions import Fraction
@@ -33,8 +32,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_TOO_LARGE = 3
 
-ENV_EXACT_CAP = "RIGJOINT_EXACT_CAP"
-DEFAULT_EXACT_CAP = 40
+# Largest n and m at which pmf prints the exact law and simulate fits it.
+EXACT_CAP = 40
 
 # Longest --p-grid that scan accepts.
 MAX_GRID_POINTS = 10_000
@@ -137,10 +136,10 @@ def _power_past(base: int, exp: int, digits: int, divisor: int = 1) -> bool:
     return base**exp >= divisor * 10**digits
 
 
-def _exact_law_refusal(params: ModelParams, cap: int) -> SizeCapError | None:
+def _exact_law_refusal(params: ModelParams) -> SizeCapError | None:
     """Why ``pmf`` cannot compute and print the exact law of ``params``, or None.
 
-    n and m are capped at ``cap``. Every integer ``pmf`` prints is at most its
+    n, m <= ``EXACT_CAP``. Every integer ``pmf`` prints is at most its
     scale b^(n*m), b = den(p). With p = a/b in lowest terms, c = b - a and n >= 2,
     P(X=0) = sum_d C(m,d) a^d c^(m-d+d(n-1)) b^((m-d)(n-1)) / b^(n*m): each term
     with d < m carries a factor b and the d = m term a^m c^(m(n-1)) is coprime
@@ -148,8 +147,8 @@ def _exact_law_refusal(params: ModelParams, cap: int) -> SizeCapError | None:
     has P(Y=0) when m >= 2. Hence for n*m >= 2 the int-to-str limit is passed
     iff scale >= 10^limit. ``simulate`` fits the exact law where this is None.
     """
-    if params.n > cap or params.m > cap:
-        return SizeCapError(f"exact pmf capped at n, m <= {cap} (override with {ENV_EXACT_CAP})")
+    if params.n > EXACT_CAP or params.m > EXACT_CAP:
+        return SizeCapError(f"exact pmf capped at n, m <= {EXACT_CAP}")
     cells = params.n * params.m
     if cells >= 2 and _power_past(params.p.denominator, cells, sys.get_int_max_str_digits()):
         return _too_many_digits()
@@ -478,14 +477,7 @@ def _admit(args) -> dict:
                 f"simulate would draw about {words:.3g} words; capped at {MAX_SIMULATE_WORDS:.0e}"
             )
     if command in ("pmf", "simulate"):
-        raw = os.environ.get(ENV_EXACT_CAP, str(DEFAULT_EXACT_CAP))
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ValueError(f"{ENV_EXACT_CAP} must be an integer, got {raw!r}")
-        if cap < 1:
-            raise ValueError(f"{ENV_EXACT_CAP} must be positive, got {cap}")
-        refusal = _exact_law_refusal(params, cap)
+        refusal = _exact_law_refusal(params)
         if command == "simulate":
             return {"params": params, "fit": refusal is None}
         if refusal:
@@ -505,13 +497,24 @@ def _admit(args) -> dict:
                 "float moments need C(n-1,2), C(m-1,2) and (n-1)(m-1) within a double's range"
             ) from None
     elif command in ("moments", "scan"):
-        # For p = a/b in lowest terms, b >= 2 and n >= 2, E[X] = (n-1)(1-(1-p^2)^m)
-        # has reduced denominator b^(2m) / gcd(n-1, b^(2m)) >= b^(2m) / (n-1), and
-        # E[Y] likewise; CSV prints only decimals, but the integers are as large.
+        # With p = a/b in lowest terms and b >= 2, a printed moment is N / b^e with gcd(N, b^e)
+        # = gcd(f, b^e) for its (e, f) in `printed`. E[X] = (n-1)(1-(1-p^2)^m) has N n-1 times
+        # an integer coprime to b, and cov (n-1)(m-1) times one. Var X has N = (n-1)(S b^(2m)
+        # + (n-2) R b^m - (n-1) S^2), S and R coprime to b, whose sum has as many factors of
+        # each prime of b as n-1 has once n-1 < 2^m. E[Y] and Var Y swap n and m. CSV scan
+        # prints only decimals, and keeps the means' bound b^(2m) / (n-1).
         limit = sys.get_int_max_str_digits()
-        if any(size >= 2 and _power_past(point.p.denominator, 2 * other, limit, size - 1)
-               for point in points for size, other in ((n, m), (m, n))):
-            raise _too_many_digits()
+        exact = command == "moments" or args.format == "json"
+        printed = [(2 * m, n - 1), (2 * n, m - 1)]
+        if exact and min(n, m) >= 2:
+            printed.append((2 * (n + m), (n - 1) * (m - 1)))
+        if command == "moments":
+            printed += [(4 * other, (size - 1) ** 2) for size, other in ((n, m), (m, n))
+                        if (size - 1).bit_length() <= other]
+        for b in {point.p.denominator for point in points}:
+            if any(f and _power_past(b, e, limit, math.gcd(f, pow(b, e, f)) if exact else f)
+                   for e, f in printed):
+                raise _too_many_digits()
         side = max(n, m) if min(n, m) > 1 else 1
         try:  # p = 0 and p = 1 are point masses and build no powers
             work = sum((4 * side * math.log10(point.p.denominator)) ** 2

@@ -511,13 +511,17 @@ def eval_marginal_pgf(
 
     F(t) = sum_k t^(s-1-k) (1-t)^k M[k] over the marginal falling moments M,
     with s the side's size. Exact mode reads F off the integer vector that
-    ``marginal_pmf`` sieves; float mode sums the same form in floats.
+    ``marginal_pmf`` sieves; float mode sums the same form in floats, on
+    [0, 1] only: off it the terms alternate in sign and cancel, so a point
+    there raises ValueError; exact mode evaluates it.
     """
     t = as_scalar(t, mode)
     size, other = (params.n, params.m) if side is Side.ACTIVE else (params.m, params.n)
     if mode is Mode.EXACT:
         numerators, scale = _marginal_moments(size, other, params.p)
         return Fraction(_dot(numerators, _basis(t, size)), scale * t.denominator ** (size - 1))
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"float marginal PGF is evaluated on [0,1] only, got {t}; use exact mode")
     p = float(params.p)
     return sum(
         t ** (size - 1 - k) * (1 - t) ** k * _marginal_form(size, other, p, 1.0 - p, 1.0, k)

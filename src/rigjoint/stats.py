@@ -236,9 +236,7 @@ def _linked_pairs(lines: np.ndarray, pairs: tuple) -> np.ndarray:
     return np.count_nonzero(shared.any(axis=1), axis=0)
 
 
-def edge_count_correlation(
-    params: ModelParams, trials: int, seed: int, batch_size: Optional[int] = None
-) -> Optional[float]:
+def edge_count_correlation(params: ModelParams, trials: int, seed: int) -> Optional[float]:
     """Sample correlation between active and passive edge totals.
 
     Monte Carlo check that the two projections' sizes move together; ROADMAP
@@ -246,11 +244,11 @@ def edge_count_correlation(
     either total is constant across the sample (e.g. p = 0 or p = 1). Per
     trial, each row and each column of the adjacency is packed into 52-bit
     words (``_packed_lines``), and two vertices (objects) are linked iff their
-    rows (columns) share a set bit. By default a batch's largest array, the
-    edge counters or a gathered set of line pairs, holds about ``BATCH_BYTES``.
+    rows (columns) share a set bit. A batch's largest array, the edge
+    counters or a gathered set of line pairs, holds about ``BATCH_BYTES``.
     The lanes of ``run_batches`` write their batches' totals into disjoint
     slices of one pair of arrays, so the result is the same double for any
-    ``batch_size`` and lane count.
+    ``BATCH_BYTES`` and lane count.
     """
     import numpy as np
     if trials < 2:
@@ -258,7 +256,7 @@ def edge_count_correlation(
     n, m = params.n, params.m
     vertex_pairs, object_pairs = np.triu_indices(n, 1), np.triu_indices(m, 1)
     words = max(n * m, len(vertex_pairs[0]) * _words(m), len(object_pairs[0]) * _words(n))
-    batch_size = batch_trials(8 * words, batch_size)
+    batch_size = batch_trials(8 * words)
     active = np.empty(trials, dtype=np.float64)
     passive = np.empty(trials, dtype=np.float64)
 

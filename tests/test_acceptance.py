@@ -24,6 +24,7 @@ from rigjoint import (
     moment_table,
     moments,
     recombination_check,
+    bipartite,
     tv_distance,
 )
 from rigjoint.cli import main
@@ -257,7 +258,7 @@ def test_criterion_11_performance():
     )
 
 
-def test_criterion_12_determinism(capsys):
+def test_criterion_12_determinism(capsys, monkeypatch):
     argv = [
         "simulate", "--n", "6", "--m", "4", "--p", "3/10",
         "--trials", "50000", "--seed", "271828",
@@ -269,12 +270,14 @@ def test_criterion_12_determinism(capsys):
 
     # tallies must not depend on how the trial range is split into batches,
     # nor, since the batches run on parallel lanes of threads
-    # (bipartite.run_batches), on how the batches are dealt to the lanes
+    # (bipartite.run_batches), on how the batches are dealt to the lanes. One
+    # trial adds 8 max(6, 4, 0.3 * 24) = 57.6 bytes to a batch, so these
+    # BATCH_BYTES give batches of 1 trial, of 37, and the default single batch.
     params = ModelParams(6, 4, Fraction(3, 10))
-    partitions = [
-        empirical_joint(params, 10_000, seed=271828, batch_size=size)
-        for size in (1, 37, 4096, 10_000, None)
-    ]
+    partitions = []
+    for batch_bytes in (1, 37.5 * 57.6, bipartite.BATCH_BYTES):
+        monkeypatch.setattr(bipartite, "BATCH_BYTES", batch_bytes)
+        partitions.append(empirical_joint(params, 10_000, seed=271828))
     ok = first == second and all(e.counts == partitions[0].counts for e in partitions)
     with capsys.disabled():
         _report(12, "simulate is byte-identical and partition-independent", ok)

@@ -24,6 +24,17 @@ from tests import reference
 
 HALF = Fraction(1, 2)
 P22 = ModelParams(2, 2, HALF)
+DEFAULT_BATCH_BYTES = bipartite.BATCH_BYTES
+
+
+def batch_bytes(params, trials_per_batch):
+    """A ``BATCH_BYTES`` at which ``empirical_joint`` on ``params`` runs
+    ``trials_per_batch`` trials per batch; None gives the default. One trial
+    adds 8 max(n, m, p n m) bytes to a batch's largest array."""
+    if trials_per_batch is None:
+        return DEFAULT_BATCH_BYTES
+    n, m = params.n, params.m
+    return (trials_per_batch + 0.5) * 8 * max(n, m, float(params.p) * n * m)
 
 
 class TestDegrees:
@@ -115,13 +126,14 @@ class TestEmpiricalJoint:
         b = empirical_joint(params, trials=2000, seed=42)
         assert a == b
 
-    def test_independent_of_batch_partition(self):
+    def test_independent_of_batch_partition(self, monkeypatch):
         params = ModelParams(3, 4, Fraction(1, 3))
-        full = empirical_joint(params, trials=500, seed=9, batch_size=4096)
-        tiny = empirical_joint(params, trials=500, seed=9, batch_size=1)
-        odd = empirical_joint(params, trials=500, seed=9, batch_size=17)
-        default = empirical_joint(params, trials=500, seed=9)
-        assert full.counts == tiny.counts == odd.counts == default.counts
+        tallies = []
+        for trials_per_batch in (1, 17, None):  # None: all 500 trials in one batch
+            monkeypatch.setattr(bipartite, "BATCH_BYTES", batch_bytes(params, trials_per_batch))
+            assert bipartite.batch_trials(32) == (trials_per_batch or DEFAULT_BATCH_BYTES // 32)
+            tallies.append(empirical_joint(params, trials=500, seed=9).counts)
+        assert tallies[0] == tallies[1] == tallies[2]
 
     @pytest.mark.parametrize("lanes", [2, 3])
     def test_independent_of_lane_count(self, monkeypatch, lanes):
@@ -130,26 +142,30 @@ class TestEmpiricalJoint:
         cases = [
             (ModelParams(3, 4, Fraction(1, 3)), 500),
             (ModelParams(12, 9, Fraction(2, 5)), 300),
-            (ModelParams(5, 5, HALF), 2),  # fewer batches than 3 lanes at batch_size 1
+            (ModelParams(5, 5, HALF), 2),  # fewer batches than 3 lanes at 1 trial per batch
         ]
+
+        def sample(params, trials, trials_per_batch):
+            monkeypatch.setattr(bipartite, "BATCH_BYTES", batch_bytes(params, trials_per_batch))
+            return empirical_joint(params, trials, 9)
+
         serial = {}
         monkeypatch.setattr(bipartite, "MAX_LANES", 1)
         for params, trials in cases:
-            for batch_size in (1, 17, None):  # None: a single batch for all cases
-                serial[params, batch_size] = empirical_joint(params, trials, 9, batch_size)
+            for size in (1, 17, None):  # None: a single batch for all cases
+                serial[params, size] = sample(params, trials, size)
         monkeypatch.setattr(bipartite, "MAX_LANES", lanes)
         monkeypatch.setattr(bipartite, "_cpus", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for params, trials in cases:
-                for batch_size in (1, 17, None):
-                    got = empirical_joint(params, trials, 9, batch_size)
-                    assert got == serial[params, batch_size], (params, batch_size)
+                for size in (1, 17, None):
+                    assert sample(params, trials, size) == serial[params, size], (params, size)
         finally:
             sys.setswitchinterval(interval)
 
-    def test_matches_scalar_sampling_path(self):
+    def test_matches_scalar_sampling_path(self, monkeypatch):
         # the lean sampler draws only the words the degree pair reads; its
         # tallies must equal those of whole graphs, drawn edge by edge by the
         # reference sampler and in one batch by _adjacency_batch
@@ -170,9 +186,10 @@ class TestEmpiricalJoint:
                 dense = np.bincount(x * m + y, minlength=n * m).reshape(n, m)
                 expect = tuple(tuple(row) for row in scalar)
                 assert tuple(tuple(int(c) for c in row) for row in dense) == expect
-                for batch_size in (1, 17, 4096):
-                    emp = empirical_joint(params, trials, seed, batch_size=batch_size)
-                    assert emp.counts == expect, (n, m, p, batch_size)
+                for size in (1, 17, None):
+                    monkeypatch.setattr(bipartite, "BATCH_BYTES", batch_bytes(params, size))
+                    emp = empirical_joint(params, trials, seed)
+                    assert emp.counts == expect, (n, m, p, size)
 
     def test_cell_frequency_concentrates(self):
         emp = empirical_joint(P22, trials=100_000, seed=42)
@@ -213,9 +230,10 @@ class TestRunBatches:
             return original(params, seed, start, count)
 
         monkeypatch.setattr(bipartite, "_degree_batch", failing)
+        monkeypatch.setattr(bipartite, "BATCH_BYTES", 1)  # one trial per batch
         before = threading.active_count()
         with pytest.raises(error, match="batch failed"):
-            empirical_joint(ModelParams(4, 4, HALF), 20_000, 3, batch_size=1)
+            empirical_joint(ModelParams(4, 4, HALF), 20_000, 3)
         assert threading.active_count() == before
         assert len(calls) < 1000
 

@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import itertools
 import json
 import math
 import os
@@ -11,11 +12,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rigjoint
-from rigjoint import cli, pgf
+from rigjoint import cli, pgf, stats
 from rigjoint.cli import _law_cells, main
 from tests import reference
 
@@ -83,11 +84,11 @@ class TestPmfCommand:
         assert code == 3
         assert out == ""
 
-    def test_size_cap_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("RIGJOINT_EXACT_CAP", "5")
-        code, _, _ = run(capsys, ["pmf", "--n", "6", "--m", "2", "--p", "1/2"])
-        assert code == 3
-        monkeypatch.setenv("RIGJOINT_EXACT_CAP", "50")
+    def test_size_cap_is_exact_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "EXACT_CAP", 5)
+        code, _, err = run(capsys, ["pmf", "--n", "6", "--m", "2", "--p", "1/2"])
+        assert (code, err) == (3, "error: exact pmf capped at n, m <= 5\n")
+        monkeypatch.setattr(cli, "EXACT_CAP", 50)
         code, _, _ = run(capsys, ["pmf", "--n", "41", "--m", "2", "--p", "1/2"])
         assert code == 0
 
@@ -141,7 +142,7 @@ class TestPmfDigitBound:
     def test_refuses_before_any_work(self, capsys, monkeypatch, digit_limit_640, n, m, p, fmt):
         argv = ["pmf", "--n", str(n), "--m", str(m), "--p", p, "--format", fmt]
         with monkeypatch.context() as unbounded:
-            unbounded.setattr(cli, "_exact_law_refusal", lambda params, cap: None)
+            unbounded.setattr(cli, "_exact_law_refusal", lambda params: None)
             rendered = run(capsys, argv)
         assert rendered[0] == 3 and rendered[1] == ""
         assert "640 digits" in rendered[2]
@@ -164,13 +165,13 @@ class TestPmfDigitBound:
     def test_no_limit_refuses_nothing(self, monkeypatch):
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
         params = pgf.ModelParams(40, 40, Fraction(1, 10**12))
-        assert cli._exact_law_refusal(params, 40) is None
+        assert cli._exact_law_refusal(params) is None
 
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (1, 2)])
     def test_single_cell_and_lines(self, n, m):
         # n*m = 1 prints only 1/1; a single line still prints the whole scale
         params = pgf.ModelParams(n, m, Fraction(1, 10**4300))
-        assert (cli._exact_law_refusal(params, 40) is not None) is (n * m >= 2)
+        assert (cli._exact_law_refusal(params) is not None) is (n * m >= 2)
 
 
 # Bases den(p) of the law's scale: 1 (p = 0 or 1), primes, prime powers and
@@ -949,12 +950,33 @@ class TestAdmission:
         code, out, _ = run(capsys, argv)
         assert code == 0 and "cov,," in out
 
-    def test_exact_cap_is_read_before_sampling(self, capsys, monkeypatch):
-        monkeypatch.setenv("RIGJOINT_EXACT_CAP", "abc")
-        monkeypatch.setattr(cli, "empirical_joint", must_not_run)
-        argv = ["simulate", "--n", "10", "--m", "10", "--p", "1/5", "--trials", "3000000"]
-        err = "error: RIGJOINT_EXACT_CAP must be an integer, got 'abc'\n"
-        assert run(capsys, argv) == (2, "", err)
+    # Var X (Var Y) has denominator 7^5200, over 4300 digits, and so has cov in the scan;
+    # the means' denominators, 7^2600 and 7^6, are within the limit.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--n", "3", "--m", "1300", "--p", "1/7"],
+            ["moments", "--n", "1300", "--m", "3", "--p", "1/7", "--format", "json"],
+            ["scan", "--n", "1300", "--m", "1300", "--p-grid", "1/7:1/7:1", "--format", "json"],
+        ],
+        ids=["var_x", "var_y", "scan-cov"],
+    )
+    def test_exact_moment_digits_refused_before_work(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "moments", must_not_run)
+        assert run(capsys, argv) == (3, "", f"error: {cli._too_many_digits()}\n")
+
+    def test_variance_bound_only_where_its_form_is_exact(self, capsys, digit_limit_640):
+        # n = 1, b = 10^320 and m - 1 = 10^320: m - 1 has more bits than n, and Var Y's
+        # denominator, 10^640 / 2, is below b^(4n) / gcd((m-1)^2, b^(4n)) = 10^640
+        big = 10**320
+        argv = ["moments", "--n", "1", "--m", str(big + 1), "--p", f"1/{big}", "--format", "json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["result"]["var_y"]["den"] == str(10**640 // 2)
+
+    def test_csv_scan_prints_cov_past_the_limit_as_a_decimal(self, capsys):
+        code, out, _ = run(capsys, ["scan", "--n", "1300", "--m", "1300", "--p-grid", "1/7:1/7:1"])
+        assert code == 0 and out.splitlines()[1].startswith("0.14285714285714285,")
 
     @pytest.mark.parametrize(
         "n,m,p",
@@ -983,6 +1005,60 @@ class TestAdmission:
             assert f"mean_x,{big - 1}/1,1e+400" in out.splitlines()
         code, out, _ = run(capsys, ["scan", "--n", str(big), "--m", "2", "--p-grid", "1:1:1"])
         assert code == 0 and out.splitlines()[1] == "1,1e+400,1,0,undefined"
+
+
+# cli._admit's digit bounds on exact moments rest on this: with p = a/b in lowest terms,
+# each printed moment has reduced denominator b^e / gcd(f, b^e), E[X] with (e, f) =
+# (2m, n-1), cov with (2(n+m), (n-1)(m-1)), and Var X with (4m, (n-1)^2) where n-1 has
+# at most m bits; E[Y] and Var Y swap n and m.
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 12), st.fractions(0, 1, max_denominator=60))
+def test_moment_denominators_as_admission_states(n, m, p):
+    summary, b = stats.moments(pgf.ModelParams(n, m, p)), p.denominator
+    forms = [("mean_x", 2 * m, n - 1), ("mean_y", 2 * n, m - 1)]
+    if min(n, m) >= 2:
+        forms.append(("cov", 2 * (n + m), (n - 1) * (m - 1)))
+    forms += [(name, 4 * other, (size - 1) ** 2)
+              for name, size, other in (("var_x", n, m), ("var_y", m, n))
+              if (size - 1).bit_length() <= other]
+    for name, e, f in forms:
+        if f and b > 1:
+            assert getattr(summary, name).denominator == b**e // math.gcd(f, b**e), name
+
+
+# Sizes around the digit bounds at a limit of 640 digits: at p = 3/10, Var X at m = 160
+# has denominator exactly 10^640, and 40 x 160 passes the means' and cov's bounds.
+MOMENT_GRID_SIZES = [1, 2, 3, 40, 160, 1300]
+
+
+def test_exact_moment_digit_bounds_on_a_grid(capsys, monkeypatch, digit_limit_640):
+    """Every exact moments or scan run that exits 3 is refused before moments runs,
+    and only where a fraction it prints has an integer of more than 640 digits."""
+    calls = []
+
+    def counted(params, mode):
+        calls.append(params)
+        return stats.moments(params, mode)
+
+    monkeypatch.setattr(cli, "moments", counted)
+    codes = []
+    for n, m in itertools.product(MOMENT_GRID_SIZES, repeat=2):
+        for p in ("1/2", "1/7", "3/10"):
+            for command in (["moments", "--p", p], ["scan", "--p-grid", f"{p}:{p}:1", "--format", "json"]):
+                calls.clear()
+                code, _, err = run(capsys, command + ["--n", str(n), "--m", str(m)])
+                codes.append(code)
+                assert code in (0, 3), (n, m, p, command)
+                if code == 0:
+                    continue
+                assert not calls and "640 digits" in err, (n, m, p, command, err)
+                summary = stats.moments(pgf.ModelParams(n, m, Fraction(p)))
+                printed = ("mean_x", "mean_y", "var_x", "var_y", "cov")
+                if command[0] == "scan":
+                    printed = ("mean_x", "mean_y", "cov")
+                values = [getattr(summary, name) for name in printed]
+                assert max(max(abs(v.numerator), v.denominator) for v in values) >= 10**640, (n, m, p)
+    assert len(codes) == 216 and codes.count(0) > 50 and codes.count(3) > 50
 
 
 class TestDec:

@@ -504,6 +504,21 @@ class TestMarginals:
                         approx = eval_marginal_pgf(params, side, float(t), Mode.FLOAT)
                         assert approx == pytest.approx(float(exact), rel=1e-12, abs=0)
 
+    def test_float_off_unit_interval_is_refused(self):
+        # Off [0, 1] the terms alternate in sign and cancel: at 40x40, p=3/7, t=-1/2
+        # the float sum was 1.880705e-10 against 1.881150e-10, and at 300x300,
+        # p=1/10, t=3/2 it was -5.6e61 against 1.9e51.
+        points = [-0.5, 1.5, -HALF, Fraction(3, 2), 1.0 + 2.0**-52, -(2.0**-1074),
+                  math.nan, math.inf, -math.inf]
+        for n, m, p in [(40, 40, Fraction(3, 7)), (300, 300, Fraction(1, 10)),
+                        (1, 6, HALF), (6, 1, Fraction(0)), (7, 5, Fraction(1))]:
+            for side in Side:
+                for t in points:
+                    with pytest.raises(ValueError, match=r"\[0,1\] only.*exact mode"):
+                        eval_marginal_pgf(ModelParams(n, m, p), side, t, Mode.FLOAT)
+        # exact mode still evaluates those points
+        assert eval_marginal_pgf(ModelParams(40, 40, Fraction(3, 7)), Side.ACTIVE, -HALF) > 0
+
     def test_point_mass_at_zero_when_p_zero(self):
         law = marginal_pmf(ModelParams(5, 3, Fraction(0)), Side.ACTIVE)
         assert law.pmf == (1, 0, 0, 0, 0)

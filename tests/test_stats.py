@@ -34,6 +34,18 @@ from tests import reference
 
 HALF = Fraction(1, 2)
 P22 = ModelParams(2, 2, HALF)
+DEFAULT_BATCH_BYTES = bipartite.BATCH_BYTES
+
+
+def batch_bytes(params, trials_per_batch):
+    """A ``BATCH_BYTES`` at which ``edge_count_correlation`` on ``params`` runs
+    ``trials_per_batch`` trials per batch; None gives the default. One trial
+    adds 8 words per adjacency cell or per packed word of a line pair."""
+    if trials_per_batch is None:
+        return DEFAULT_BATCH_BYTES
+    n, m = params.n, params.m
+    words = max(n * m, n * (n - 1) // 2 * stats._words(m), m * (m - 1) // 2 * stats._words(n))
+    return (trials_per_batch + 0.5) * 8 * words
 
 
 def summary_from_pmf(dist):
@@ -336,19 +348,13 @@ class TestEdgeCountCorrelation:
         with pytest.raises(ValueError):
             edge_count_correlation(P22, 1, seed=0)
 
-    @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_rejects_nonpositive_batch_size(self, batch_size):
-        params = ModelParams(4, 4, HALF)
-        with pytest.raises(ValueError, match="batch_size must be positive"):
-            edge_count_correlation(params, 100, seed=3, batch_size=batch_size)
-
     # (3, 70) and (70, 3) pack each 70-bit row or column into two 52-bit words
     @pytest.mark.parametrize(
         "n,m,p",
         [(20, 20, Fraction(1, 10)), (7, 3, HALF), (3, 7, Fraction(2, 5)), (1, 4, HALF),
          (4, 4, Fraction(1)), (3, 70, Fraction(1, 5)), (70, 3, Fraction(1, 5))],
     )
-    def test_matches_pair_loop_reference(self, n, m, p):
+    def test_matches_pair_loop_reference(self, monkeypatch, n, m, p):
         trials, seed = 200, 17
         totals = [
             reference.projection_edge_counts(
@@ -362,9 +368,10 @@ class TestEdgeCountCorrelation:
             expect = None
         else:
             expect = float(np.corrcoef(active, passive)[0, 1])
-        for batch_size in (33, None):
-            got = edge_count_correlation(ModelParams(n, m, p), trials, seed, batch_size)
-            assert got == expect
+        params = ModelParams(n, m, p)
+        for size in (1, 33, None):
+            monkeypatch.setattr(bipartite, "BATCH_BYTES", batch_bytes(params, size))
+            assert edge_count_correlation(params, trials, seed) == expect, size
         assert (expect is None) == (n == 1 or p == 1)
 
     def test_pinned_value(self):
@@ -373,22 +380,26 @@ class TestEdgeCountCorrelation:
 
     @pytest.mark.parametrize("lanes", [2, 3])
     def test_independent_of_lane_count(self, monkeypatch, lanes):
-        # trials=2 at batch_size 1 has fewer batches than 3 lanes, and
-        # batch_size=None puts each case in a single batch
+        # trials=2 at 1 trial per batch has fewer batches than 3 lanes, and
+        # the default puts each case in a single batch
         cases = [(ModelParams(7, 3, HALF), 200), (ModelParams(20, 20, Fraction(1, 10)), 600),
                  (ModelParams(4, 4, HALF), 2)]
+
+        def correlation(params, trials, trials_per_batch):
+            monkeypatch.setattr(bipartite, "BATCH_BYTES", batch_bytes(params, trials_per_batch))
+            return edge_count_correlation(params, trials, 17)
+
         monkeypatch.setattr(bipartite, "MAX_LANES", 1)
         serial = {
-            (params, batch_size): edge_count_correlation(params, trials, 17, batch_size)
+            (params, size): correlation(params, trials, size)
             for params, trials in cases
-            for batch_size in (1, 17, None)
+            for size in (1, 17, None)
         }
         monkeypatch.setattr(bipartite, "MAX_LANES", lanes)
         monkeypatch.setattr(bipartite, "_cpus", lambda: 8)
         for params, trials in cases:
-            for batch_size in (1, 17, None):
-                got = edge_count_correlation(params, trials, 17, batch_size)
-                assert got == serial[params, batch_size], (params, batch_size)
+            for size in (1, 17, None):
+                assert correlation(params, trials, size) == serial[params, size], (params, size)
 
     def test_failure_stops_every_lane(self, monkeypatch):
         monkeypatch.setattr(bipartite, "_cpus", lambda: 8)
@@ -403,9 +414,10 @@ class TestEdgeCountCorrelation:
             return original(params, seed, start, count)
 
         monkeypatch.setattr(stats, "_adjacency_batch", failing)
+        monkeypatch.setattr(bipartite, "BATCH_BYTES", 1)  # one trial per batch
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="batch failed"):
-            edge_count_correlation(ModelParams(4, 4, HALF), 20_000, 3, batch_size=1)
+            edge_count_correlation(ModelParams(4, 4, HALF), 20_000, 3)
         assert threading.active_count() == before
         assert len(calls) < 1000
 
