@@ -28,7 +28,7 @@ class Mode(Enum):
 
 
 class SizeCapError(Exception):
-    """A computation exceeds its configured size cap."""
+    """A computation exceeds a fixed size bound, such as one stated in ``cli._admit``."""
 
 
 def parse_probability(text: str) -> Fraction:

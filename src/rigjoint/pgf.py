@@ -30,8 +30,9 @@ only k moves, so the closed form's powers in k are running products, each term
 times a fixed step per cell instead of a fresh big-integer power. The
 transform only adds and subtracts the table's integers, and a law keeps the
 results as integer ``counts`` over that ``scale``, with ``.pmf`` a Fraction
-view built on first access. The marginal moments (``_marginal_form``) are born
-over the same denominator, each edge-split conditional sums its terms as one
+view built on first access. The marginal moments are the closed form's edge
+column N[k][0] (column 0 of the transposed model for the passive side), born
+over the same denominator; each edge-split conditional sums its terms as one
 integer over a power of b (``_power_sum``), and exact PGFs are integer dot
 products with the basis u or v. The transform cancels catastrophically in
 floating point, so there is no float pmf: float mode here covers PGF point
@@ -368,16 +369,16 @@ def eval_joint_pgf(params: ModelParams, x: Scalar, y: Scalar, mode: Mode = Mode.
     Exact mode reads F off the moment table (``MomentTable.eval_pgf``). Float
     mode sums the closed form vectorized (see _eval_joint_float), and only on
     [0,1]^2: off the square its terms alternate in sign and cancel, so a point
-    there raises ValueError; exact mode evaluates it.
+    there, tested before it becomes a float, raises ValueError; exact mode
+    evaluates it.
     """
     if mode is Mode.FLOAT:
-        x, y = float(x), float(y)
-        if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+        if not (0 <= x <= 1 and 0 <= y <= 1):
             raise ValueError(
                 f"float joint PGF is evaluated on [0,1]^2 only, got ({x}, {y}); "
                 "use exact mode off the square"
             )
-        return _eval_joint_float(params, x, y)
+        return _eval_joint_float(params, float(x), float(y))
     return moment_table(params).eval_pgf(x, y)
 
 
@@ -488,43 +489,32 @@ def _eval_joint_float(params: ModelParams, x: float, y: float) -> float:
     return float(total)
 
 
-def _marginal_form(size: int, other: int, a, c, b, k: int):
-    """Marginal falling moment C(size-1, k) (q + p q^k)^other for p = a/b, q = c/b.
-
-    Returns the numerator over b^(size*other), the joint table's scale. Exact
-    mode passes integers with c = b - a; float mode passes (p, 1-p, 1.0), so
-    the result is the moment.
-    """
-    return comb(size - 1, k) * ((c * b**k + a * c**k) * b ** (size - 1 - k)) ** other
-
-
-def _marginal_moments(size: int, other: int, p: Fraction) -> tuple:
-    """Marginal falling moments as integer numerators over den(p)^(n*m), and that scale."""
-    a, b = p.numerator, p.denominator
-    return [_marginal_form(size, other, a, b - a, b, k) for k in range(size)], b ** (size * other)
-
-
 def eval_marginal_pgf(
     params: ModelParams, side: Side, t: Scalar, mode: Mode = Mode.EXACT
 ) -> Scalar:
     """Evaluate the marginal PGF E[t^X] (active) or E[t^Y] (passive).
 
-    F(t) = sum_k t^(s-1-k) (1-t)^k M[k] over the marginal falling moments M,
-    with s the side's size. Exact mode reads F off the integer vector that
-    ``marginal_pmf`` sieves; float mode sums the same form in floats, on
-    [0, 1] only: off it the terms alternate in sign and cancel, so a point
-    there raises ValueError; exact mode evaluates it.
+    F(t) = sum_k t^(s-1-k) (1-t)^k M[k], with s the side's size and o the
+    other's. The marginal falling moments M[k] = C(s-1, k) (q + p q^k)^o are
+    the closed form's edge column N[k][0], the column ``marginal_pmf`` sieves.
+    Exact mode reads F off that integer column; float mode sums the same form
+    in floats, on [0, 1] only: off it the terms alternate in sign and cancel,
+    so a point there, tested before t becomes a float, raises ValueError;
+    exact mode evaluates it.
     """
-    t = as_scalar(t, mode)
     size, other = (params.n, params.m) if side is Side.ACTIVE else (params.m, params.n)
     if mode is Mode.EXACT:
-        numerators, scale = _marginal_moments(size, other, params.p)
-        return Fraction(_dot(numerators, _basis(t, size)), scale * t.denominator ** (size - 1))
-    if not 0.0 <= t <= 1.0:
+        t = as_scalar(t, Mode.EXACT)
+        a, b = params.p.numerator, params.p.denominator
+        column = _closed_form(size, other, a, b - a, b, 0)
+        scale = b ** (size * other) * t.denominator ** (size - 1)
+        return Fraction(_dot(column, _basis(t, size)), scale)
+    if not 0 <= t <= 1:
         raise ValueError(f"float marginal PGF is evaluated on [0,1] only, got {t}; use exact mode")
-    p = float(params.p)
+    t, p = float(t), float(params.p)
+    q = 1.0 - p
     return sum(
-        t ** (size - 1 - k) * (1 - t) ** k * _marginal_form(size, other, p, 1.0 - p, 1.0, k)
+        t ** (size - 1 - k) * (1 - t) ** k * (comb(size - 1, k) * (q + p * q**k) ** other)
         for k in range(size)
     )
 
@@ -532,13 +522,17 @@ def eval_marginal_pgf(
 def marginal_pmf(params: ModelParams, side: Side) -> MarginalDistribution:
     """Degree law on one side, by the one-dimensional sieve.
 
-    The marginal falling moments (``_marginal_form``) are integers over
+    The marginal falling moments are the closed form's edge column, N[k][0]
+    for the active side and, by the duality N_{n,m}[k][l] = N_{m,n}[l][k],
+    column 0 of the (m, n) model for the passive side: one ``_closed_form``
+    call, O(size) cells, never the whole table. They are integers over
     den(p)^(n*m) like the joint table, and the sieve's counts stay over that
     scale. They equal the row or column sums of ``joint_pmf``'s counts.
     """
     size, other = (params.n, params.m) if side is Side.ACTIVE else (params.m, params.n)
-    numerators, scale = _marginal_moments(size, other, params.p)
-    return MarginalDistribution(side, scale, tuple(_sieve(numerators))[::-1])
+    a, b = params.p.numerator, params.p.denominator
+    column = _closed_form(size, other, a, b - a, b, 0)
+    return MarginalDistribution(side, b ** (size * other), tuple(_sieve(column))[::-1])
 
 
 def recombination_check(table: MomentTable, k: int, l: int) -> tuple:

@@ -1,0 +1,167 @@
+"""Mutation gate: every mutant listed here must make the test suite fail.
+
+A mutant is (file, old text, new text, reason). For each one the runner:
+
+- copies ``src/`` and ``tests/`` to a temporary directory;
+- checks that the old text occurs exactly once in the file, so a refactor that
+  removes the site fails the gate instead of silently dropping the mutant;
+- applies the mutant, and checks that a fresh interpreter imports ``rigjoint``
+  from the mutated copy, not from an installed or editable one;
+- runs ``python -m pytest -x -q tests`` there and requires a test to fail
+  (pytest's exit code 1; a collection or usage error does not count).
+
+It presumes a passing suite, so run it after the tier-1 tests, from any
+directory:
+
+    python tests/mutants.py          # every mutant
+    python tests/mutants.py 3 12     # mutants by number
+    python tests/mutants.py --list
+
+A mutant that survives either gets a test that kills it or, if it cannot
+change any result, is removed here with the reason stated in CHANGES.md.
+Mutation testing as a check of a suite's power: DeMillo, Lipton and Sayward,
+"Hints on Test Data Selection", IEEE Computer, 1978.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PGF = "src/rigjoint/pgf.py"
+STATS = "src/rigjoint/stats.py"
+CLI = "src/rigjoint/cli.py"
+
+MUTANTS = [
+    (PGF, "lead_step = c * b**l", "lead_step = c * b ** (l + 1)",
+     "closed form: the lead term's step in k has exponent l"),
+    (PGF, "c[j] -= c[j + 1]", "c[j] += c[j + 1]",
+     "sieve: the binomial transform's sign"),
+    (STATS, "* (4 + p - 2 * p * p - p**3)", "* (4 + p - 2 * p * p + p**3)",
+     "moments: the sign of p^3 in cov's polynomial"),
+    (PGF, "            * bracket\n        )", "            * bracket\n            + (k == 3 and l == 0)\n        )",
+     "closed form: +1 on the edge column N[3][0], which the marginals read"),
+    (PGF, "_CUT_TOLERANCE = 2.0**-60", "_CUT_TOLERANCE = 2.0**-30",
+     "float joint PGF: a window 2^30 times too wide"),
+    (STATS, "small = 5 * dist.scale", "small = 4 * dist.scale",
+     "chi-square: pooling threshold 5 -> 4"),
+    (STATS, "dist.scale * emp.trials)) / 2.0", "dist.scale * emp.trials)) / 2.5",
+     "TV distance: divisor 2 -> 2.5"),
+    (PGF, "lo = np.count_nonzero(np.cumsum(weights) <= half)",
+     "lo = np.count_nonzero(np.cumsum(weights) <= 4 * budget)",
+     "float joint PGF: the window's lower cut at 4x its budget"),
+    (PGF, "budget = _CUT_TOLERANCE / 3 * max(jensen, q ** (n + m - 1))",
+     "budget = max(1e-8, _CUT_TOLERANCE / 3 * max(jensen, q ** (n + m - 1)))",
+     "float joint PGF: a floor of 1e-8 on the window budget"),
+    (PGF, "per_vertex = (c * b**l + a * c**l) * b ** (m - 1 - l)",
+     "per_vertex = (c * b**l + a * c**l) * b ** (m - 1 - l) if l else b ** (m - 1)",
+     "closed form: a wrong padding in column l = 0 only, the marginals' edge column"),
+    (PGF, "else (params.m, params.n)\n    a, b = params.p",
+     "else (params.n, params.m)\n    a, b = params.p",
+     "marginal_pmf: the passive side reads the (n, m) model, not (m, n)"),
+    (PGF, "else (params.m, params.n)\n    if mode is Mode.EXACT:",
+     "else (params.n, params.m)\n    if mode is Mode.EXACT:",
+     "eval_marginal_pgf: the passive side reads the (n, m) model, not (m, n)"),
+    (PGF, "for i in range(len(c) - 1):", "for i in range(len(c) - 2):",
+     "sieve: one pass of the Taylor shift too few"),
+    (PGF, "(comb(size - 1, k) * (q + p * q**k) ** other)",
+     "(comb(size - 1, k) * (q + p * q ** (k + 1)) ** other)",
+     "float marginal PGF: q^(k+1) for q^k in the moment"),
+    (PGF, "        if k:\n            powers", "        if k > 1:\n            powers",
+     "closed form: the running product in k skips its first step"),
+    (PGF, "b_pow[top - i - j] for w, i, j in terms", "b_pow[top - i - j - 1] for w, i, j in terms",
+     "_power_sum: a term padded by one power of b too few"),
+    (PGF, "(m - j) + (j - 1) * k + (n - i)", "(m - j) + j * k + (n - i)",
+     "edge conditional: the tracked object's objects also avoid the marked vertices"),
+    (PGF, "(i_o + i_s) * l - i_s * j_s)", "(i_o + i_s) * l + i_s * j_s)",
+     "non-edge conditional: the overlap correction's sign"),
+    (STATS, "var = (size - 1) * (power * complement)", "var = size * (power * complement)",
+     "moments: _side's binomial variance term has factor size, not size-1"),
+    (PGF, "    column = _closed_form(size, other, a, b - a, b, 0)\n    return",
+     "    column = [row[0] for row in moment_table(ModelParams(size, other, params.p)).numerators]"
+     "\n    return",
+     "marginal_pmf: the right column, read off the whole size x other table"),
+    (STATS, "log_q = math.log(q) if q >= sys.float_info.min else math.log(b - a) - math.log(b)",
+     "log_q = math.log(max(q, sys.float_info.min))",
+     "float moments: no fallback where 1-p is below the normal doubles"),
+    (STATS, "if f <= 0.5:", "if f < 1:",
+     "float moments: log1p(-p^2) up to p near 1, not the logs factored around log q"),
+    (CLI, "_power_past(params.p.denominator, cells, sys.get_int_max_str_digits())",
+     "_power_past(params.p.denominator, cells - 1, sys.get_int_max_str_digits())",
+     "pmf admission: the scale's digits bounded one power of den(p) short"),
+    (CLI, "- math.log2(digits * math.log2(10) + math.log2(divisor))",
+     "- math.log2(digits * math.log2(10))",
+     "_power_past: the divisor ignored by the log-space test"),
+    (CLI, "        power *= power\n    powers.append(scale)", "        power *= power",
+     "_law_cells: the last gcd against the whole scale dropped"),
+]
+
+
+def _describe(number: int) -> str:
+    file, _, _, reason = MUTANTS[number - 1]
+    return f"{number:2d} {file}: {reason}"
+
+
+def run_mutant(number: int) -> tuple:
+    """(killed, seconds) for one mutant; SystemExit if it cannot be judged."""
+    file, old, new, _ = MUTANTS[number - 1]
+    with tempfile.TemporaryDirectory(prefix="rigjoint-mutant-") as tmp:
+        tmp = Path(tmp).resolve()
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tmp / part,
+                            ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        target = tmp / file
+        text = target.read_text()
+        if text.count(old) != 1:
+            raise SystemExit(f"mutant {number}: its old text occurs {text.count(old)} times "
+                             f"in {file}, not once: {old!r}")
+        target.write_text(text.replace(old, new))
+        path = os.pathsep.join(filter(None, [str(tmp / "src"), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        where = subprocess.run(
+            [sys.executable, "-c", "import rigjoint; print(rigjoint.__file__)"],
+            cwd=tmp, env=env, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        if not Path(where).resolve().is_relative_to(tmp):
+            raise SystemExit(f"mutant {number}: rigjoint was imported from {where}, "
+                             "not from the mutated copy")
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
+            cwd=tmp, env=env, capture_output=True, text=True,
+        )
+        seconds = time.perf_counter() - start
+    if done.returncode not in (0, 1):
+        raise SystemExit(f"mutant {number}: pytest exited {done.returncode}, so no test ran "
+                         f"to judge it:\n{done.stdout[-3000:]}{done.stderr[-3000:]}")
+    return done.returncode == 1, seconds
+
+
+def main(argv: list) -> int:
+    if argv == ["--list"]:
+        print("\n".join(_describe(number) for number in range(1, len(MUTANTS) + 1)))
+        return 0
+    numbers = [int(arg) for arg in argv] or range(1, len(MUTANTS) + 1)
+    survivors = []
+    for number in numbers:
+        killed, seconds = run_mutant(number)
+        print(f"{'killed  ' if killed else 'SURVIVED'} {seconds:6.1f} s  {_describe(number)}",
+              flush=True)
+        if not killed:
+            survivors.append(number)
+    if survivors:
+        print(f"{len(survivors)} mutant(s) survived: {survivors}")
+        return 1
+    print(f"all {len(numbers)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -974,6 +974,12 @@ class TestAdmission:
         assert code == 0
         assert json.loads(out)["result"]["var_y"]["den"] == str(10**640 // 2)
 
+    def test_mean_bound_divides_out_n_minus_1(self, capsys, digit_limit_640):
+        # p = 1/2 and n - 1 = 2^8: E[X]'s denominator is 2^(2m) / 2^8 = 2^2120, below
+        # 10^640, though 2^(2m) = 2^2128 is not; CSV scan bounds only the means
+        code, out, _ = run(capsys, ["scan", "--n", "257", "--m", "1064", "--p-grid", "1/2:1/2:1"])
+        assert code == 0 and out.splitlines()[1].startswith("0.5,")
+
     def test_csv_scan_prints_cov_past_the_limit_as_a_decimal(self, capsys):
         code, out, _ = run(capsys, ["scan", "--n", "1300", "--m", "1300", "--p-grid", "1/7:1/7:1"])
         assert code == 0 and out.splitlines()[1].startswith("0.14285714285714285,")

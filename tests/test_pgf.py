@@ -22,6 +22,7 @@ from rigjoint import (
     recombination_check,
     sieve_invert,
 )
+from rigjoint import pgf
 from rigjoint.pgf import JointDegreeDistribution, MarginalDistribution, MomentTable
 
 from tests import reference
@@ -435,7 +436,9 @@ class TestEvalJointPgf:
         # (3/2, -1/2) the float sum was 3.3e-4 relative off the exact value.
         points = [(1.5, -0.5), (-0.5, 1.75), (0.5, 1.25), (-0.25, 0.5), (2.0, 0.9),
                   (0.3, -1.0), (Fraction(3, 2), -HALF), (-HALF, Fraction(7, 4)),
-                  (1.0 + 2.0**-52, 0.5), (0.5, -(2.0**-1074)), (math.nan, 0.5), (0.5, math.inf)]
+                  (1.0 + 2.0**-52, 0.5), (0.5, -(2.0**-1074)), (math.nan, 0.5), (0.5, math.inf),
+                  # past the doubles: refused before float() could overflow
+                  (10**400, 0.5), (0.5, -(10**400)), (Fraction(10**400, 3), HALF)]
         for n, m, p in [(40, 40, Fraction(3, 7)), (9, 14, Fraction(3, 10)),
                         (14, 9, Fraction(3, 10)), (25, 70, Fraction(1, 100)), (1, 1, THIRD),
                         (5, 7, Fraction(0)), (7, 5, Fraction(1))]:
@@ -443,6 +446,8 @@ class TestEvalJointPgf:
             for x, y in points:
                 with pytest.raises(ValueError, match=r"\[0,1\]\^2 only.*exact mode"):
                     eval_joint_pgf(params, x, y, Mode.FLOAT)
+        # exact mode still evaluates a point past the doubles
+        assert eval_joint_pgf(ModelParams(4, 5, THIRD), 10**400, HALF) > 0
 
     def test_float_window_edge_cases(self):
         edges = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0),
@@ -509,7 +514,7 @@ class TestMarginals:
         # the float sum was 1.880705e-10 against 1.881150e-10, and at 300x300,
         # p=1/10, t=3/2 it was -5.6e61 against 1.9e51.
         points = [-0.5, 1.5, -HALF, Fraction(3, 2), 1.0 + 2.0**-52, -(2.0**-1074),
-                  math.nan, math.inf, -math.inf]
+                  math.nan, math.inf, -math.inf, 10**400, -(10**400), Fraction(10**400, 3)]
         for n, m, p in [(40, 40, Fraction(3, 7)), (300, 300, Fraction(1, 10)),
                         (1, 6, HALF), (6, 1, Fraction(0)), (7, 5, Fraction(1))]:
             for side in Side:
@@ -518,6 +523,7 @@ class TestMarginals:
                         eval_marginal_pgf(ModelParams(n, m, p), side, t, Mode.FLOAT)
         # exact mode still evaluates those points
         assert eval_marginal_pgf(ModelParams(40, 40, Fraction(3, 7)), Side.ACTIVE, -HALF) > 0
+        assert eval_marginal_pgf(ModelParams(4, 5, THIRD), Side.ACTIVE, 10**400) > 0
 
     def test_point_mass_at_zero_when_p_zero(self):
         law = marginal_pmf(ModelParams(5, 3, Fraction(0)), Side.ACTIVE)
@@ -538,6 +544,24 @@ class TestMarginals:
         for side, size in ((Side.ACTIVE, n), (Side.PASSIVE, m)):
             if size >= 2 and p.denominator >= 2:
                 assert marginal_pmf(params, side).pmf[0].denominator == p.denominator ** (n * m)
+
+    def test_never_builds_the_table(self, monkeypatch):
+        # A marginal is one column of the closed form, O(size) cells; building
+        # the n x m table to read that column would pass every other test.
+        def refuse(params):
+            raise AssertionError("moment_table called for a marginal")
+
+        monkeypatch.setattr(pgf, "moment_table", refuse)
+        for n, m in [(3, 4), (4, 3), (1, 5), (6, 2)]:
+            params = ModelParams(n, m, Fraction(2, 7))
+            for side, active in ((Side.ACTIVE, True), (Side.PASSIVE, False)):
+                law = reference.marginal_law(n, m, params.p, active=active)
+                assert marginal_pmf(params, side).pmf == tuple(
+                    law.get(d, 0) for d in range(n if active else m)
+                )
+                assert eval_marginal_pgf(params, side, -THIRD) == sum(
+                    w * (-THIRD) ** d for d, w in law.items()
+                )
 
     @pytest.mark.parametrize("n,m", [(2, 2), (3, 5), (6, 4), (10, 7)])
     def test_consistent_with_joint(self, n, m):
@@ -619,6 +643,10 @@ class TestExactPipelineProperties:
         assert eval_marginal_pgf(ModelParams(n, m, p), side, t) == sum(
             w * t**d for d, w in law.items()
         )
+        # the pmf against enumeration too, not only against the joint law's sums
+        size = n if active else m
+        pmf = marginal_pmf(ModelParams(n, m, p), side).pmf
+        assert pmf == tuple(law.get(d, 0) for d in range(size))
 
     @settings(max_examples=40, deadline=None)
     @given(small_models())

@@ -174,6 +174,15 @@ class TestMoments:
         for name in ("mean_x", "mean_y", "var_x", "var_y", "cov"):
             assert getattr(approx, name) == float(getattr(exact, name)), name
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_float_relative_where_1_minus_p_is_subnormal(self, n):
+        # q = 1.5e-308 is subnormal, but Var X (3e-308 at n = 2, 9e-308 at n = 3) is a
+        # normal double, so the gate is relative: log q comes from the integers of 1 - p
+        params = ModelParams(n, 1, 1 - Fraction(3, 2 * 10**308))
+        want = float(moments(params).var_x)
+        assert want > sys.float_info.min
+        assert moments(params, Mode.FLOAT).var_x == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_float_right_where_falling_moments_cancelled(self):
         params = ModelParams(2000, 2000, Fraction(1, 10**6))
         _, _, var_x, var_y, cov = reference.moments_from_falling_moments(params, exact=False)
