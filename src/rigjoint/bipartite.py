@@ -2,7 +2,8 @@
 
 Monte Carlo trials use a counter-based generator: trial seed i is output i of
 a split-mix stream over the master seed, and edge word j of a trial is output
-j of a second-level stream over the trial seed. Every random bit is a pure
+j of a second-level stream over the trial seed. Both levels run through one
+copy of the split-mix finalizer, ``_mix64_np``. Every random bit is a pure
 function of (master seed, trial index, edge index), so tallies are identical
 under any batching or parallel partition of the trial range. An edge is
 present when its 64-bit word falls below a fixed-point threshold computed
@@ -76,14 +77,6 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def _mix64(z: int) -> int:
-    """Split-mix finalizer on 64-bit integers."""
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
-
-
 def _mix64_np(z: np.ndarray) -> np.ndarray:
     """Split-mix finalizer on a uint64 array, in place, with one scratch array; returns ``z``."""
     import numpy as np
@@ -100,7 +93,8 @@ def derive_trial_seed(seed: int, index: int) -> int:
     """Seed for trial ``index`` of the stream rooted at the master ``seed``."""
     if index < 0:
         raise ValueError("trial index must be nonnegative")
-    return _mix64(seed + (index + 1) * _GAMMA)
+    import numpy as np
+    return int(_mix64_np(np.array([(seed + (index + 1) * _GAMMA) & _MASK], dtype=np.uint64))[0])
 
 
 def _edge_threshold(params: ModelParams) -> int:

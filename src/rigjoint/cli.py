@@ -527,6 +527,7 @@ def _admit(args) -> dict:
     return {"points": points} if command == "scan" else {"params": params}
 
 
+@functools.cache  # parse_args leaves the parser as it was, so every main() call shares one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rigjoint",
@@ -559,9 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the diagnostic
         return int(exc.code or 0)
     try:

@@ -45,15 +45,15 @@ coefficient overflows at any size; Horner's rule in k runs over blocks of l
 at once; and the duality F_{n,m}(x, y) = F_{m,n}(y, x) puts the quadratic
 (l, i) triangle on the shorter side. It is evaluated on [0,1]^2 only, where
 every term is nonnegative; off the square the terms alternate in sign and
-cancel, so a point there raises ValueError and exact mode evaluates it. The
-sum runs only over a window of k, l and i: F = sum u_k v_l pi(k, l)
-with u and v binomial laws and 0 <= pi <= 1, so the mass each cut drops
-bounds its error, and each cut drops at most _CUT_TOLERANCE / 3 = 2^-60 / 3
-times a lower bound on F: the larger of Jensen's x^E[X] y^E[Y] and
-(1-p)^(n+m-1) <= P(X=0, Y=0). The cost is then the window's
-size, about the product of the three tails' widths, instead of
-max(n,m) min(n,m)^2 / 2 multiply-adds, and the result agrees with exact mode
-to a relative 1e-9 (1e-12 at 40x40 and 60x60).
+cancel, so one domain gate for both float PGFs (``_unit_point``) refuses a
+point there with ValueError, and exact mode evaluates it. The sum runs only
+over a window of k, l and i: F = sum u_k v_l pi(k, l) with u and v binomial
+laws and 0 <= pi <= 1, so the mass each cut drops bounds its error, and each
+cut drops at most _CUT_TOLERANCE / 3 = 2^-60 / 3 times a lower bound on F:
+the larger of Jensen's x^E[X] y^E[Y] and (1-p)^(n+m-1) <= P(X=0, Y=0). The
+cost is then the window's size, about the product of the three tails'
+widths, instead of max(n,m) min(n,m)^2 / 2 multiply-adds, and the result
+agrees with exact mode to a relative 1e-9 (1e-12 at 40x40 and 60x60).
 
 The float joint PGF is the only route here that uses numpy, and its three
 functions import it when called. The exact routes (the table, the sieve,
@@ -283,20 +283,22 @@ def cond_nonadjacency_given_nonedge(params: ModelParams, k: int, l: int) -> Frac
     return _power_sum(params.p, terms)
 
 
-def _closed_form(n: int, m: int, a, c, b, l: int) -> list:
+def _closed_form(n: int, m: int, p: Fraction, l: int) -> list:
     """Column l of the closed product form: N[k][l] for k = 0..n-1, p = a/b, q = c/b.
 
-    Returns one numerator per k, each over the table's one scale b^(n*m), for
-    integers a, b and c = b - a. Along the column only k moves: the weighted
-    powers w_i base_i^k and the leading term a c^(k+l) b^(kl) start at k = 0
-    and are carried as running products, times base_i and c b^l per step in k.
+    Returns one numerator per k, each over the table's one scale b^(n*m). Along
+    the column only k moves: the weighted powers w_i base_i^k and the leading
+    term a c^(k+l) b^(kl) start at k = 0 and are carried as running products,
+    times base_i and c b^l per step in k; the per-vertex powers are tabled once.
     """
+    a, b, c = p.numerator, p.denominator, p.denominator - p.numerator
     bases = [c ** (i + 1) * b ** (l - i) + a * c**l for i in range(l + 1)]
     powers = [comb(l, i) * a**i * c ** (l - i) for i in range(l + 1)]
     lead = a * c**l
     lead_step = c * b**l
     # one vertex misses all l marked objects; padded to b^m, so every cell is over b^(n*m)
     per_vertex = (c * b**l + a * c**l) * b ** (m - 1 - l)
+    vertex_pow = _powers(per_vertex, n - 1)
     column = []
     for k in range(n):
         if k:
@@ -308,7 +310,7 @@ def _closed_form(n: int, m: int, a, c, b, l: int) -> list:
             comb(n - 1, k)
             * comb(m - 1, l)
             * per_object ** (m - 1 - l)
-            * per_vertex ** (n - 1 - k)
+            * vertex_pow[n - 1 - k]
             * bracket
         )
     return column
@@ -325,10 +327,9 @@ def moment_table(params: ModelParams) -> MomentTable:
     than a fresh big-integer power per cell.
     """
     rows, cols = max(params.n, params.m), min(params.n, params.m)
-    a, b = params.p.numerator, params.p.denominator
-    columns = [_closed_form(rows, cols, a, b - a, b, l) for l in range(cols)]
+    columns = [_closed_form(rows, cols, params.p, l) for l in range(cols)]
     numerators = tuple(map(tuple, columns if params.n < params.m else zip(*columns)))
-    return MomentTable(params, b ** (params.n * params.m), numerators)
+    return MomentTable(params, params.p.denominator ** (params.n * params.m), numerators)
 
 
 def _sieve(values) -> list:
@@ -368,18 +369,28 @@ def eval_joint_pgf(params: ModelParams, x: Scalar, y: Scalar, mode: Mode = Mode.
 
     Exact mode reads F off the moment table (``MomentTable.eval_pgf``). Float
     mode sums the closed form vectorized (see _eval_joint_float), and only on
-    [0,1]^2: off the square its terms alternate in sign and cancel, so a point
-    there, tested before it becomes a float, raises ValueError; exact mode
-    evaluates it.
+    [0,1]^2: a point off the square fails ``_unit_point`` with ValueError, and
+    exact mode evaluates it.
     """
     if mode is Mode.FLOAT:
-        if not (0 <= x <= 1 and 0 <= y <= 1):
-            raise ValueError(
-                f"float joint PGF is evaluated on [0,1]^2 only, got ({x}, {y}); "
-                "use exact mode off the square"
-            )
-        return _eval_joint_float(params, float(x), float(y))
+        return _eval_joint_float(params, *_unit_point("joint", x, y))
     return moment_table(params).eval_pgf(x, y)
+
+
+def _unit_point(pgf_name: str, *values) -> tuple:
+    """``values`` as doubles, after testing that each, as given, lies in [0, 1] (NaN fails).
+
+    The float PGFs' one domain gate. It tests before float(), so a value past
+    the doubles is refused too, and its message never calls str() on a value,
+    which fails past 4300 digits: each shows as a double, or by its sign alone.
+    """
+    if all(0 <= v <= 1 for v in values):
+        return tuple(map(float, values))
+    shown = [f"{'+' if v > 0 else '-'}(past the doubles)" if abs(v) > sys.float_info.max
+             else repr(float(v)) for v in values]
+    square, point = ("[0,1]^2", f"({', '.join(shown)})") if len(shown) > 1 else ("[0,1]", shown[0])
+    raise ValueError(f"float {pgf_name} PGF is evaluated on {square} only, got {point}; "
+                     "use exact mode there")
 
 
 def _binomial_weights(t: float, top, k) -> np.ndarray:
@@ -498,20 +509,16 @@ def eval_marginal_pgf(
     other's. The marginal falling moments M[k] = C(s-1, k) (q + p q^k)^o are
     the closed form's edge column N[k][0], the column ``marginal_pmf`` sieves.
     Exact mode reads F off that integer column; float mode sums the same form
-    in floats, on [0, 1] only: off it the terms alternate in sign and cancel,
-    so a point there, tested before t becomes a float, raises ValueError;
-    exact mode evaluates it.
+    in floats, on [0, 1] only: a t off it fails ``_unit_point`` with
+    ValueError, and exact mode evaluates it.
     """
     size, other = (params.n, params.m) if side is Side.ACTIVE else (params.m, params.n)
     if mode is Mode.EXACT:
         t = as_scalar(t, Mode.EXACT)
-        a, b = params.p.numerator, params.p.denominator
-        column = _closed_form(size, other, a, b - a, b, 0)
-        scale = b ** (size * other) * t.denominator ** (size - 1)
+        column = _closed_form(size, other, params.p, 0)
+        scale = params.p.denominator ** (size * other) * t.denominator ** (size - 1)
         return Fraction(_dot(column, _basis(t, size)), scale)
-    if not 0 <= t <= 1:
-        raise ValueError(f"float marginal PGF is evaluated on [0,1] only, got {t}; use exact mode")
-    t, p = float(t), float(params.p)
+    (t,), p = _unit_point("marginal", t), float(params.p)
     q = 1.0 - p
     return sum(
         t ** (size - 1 - k) * (1 - t) ** k * (comb(size - 1, k) * (q + p * q**k) ** other)
@@ -530,9 +537,9 @@ def marginal_pmf(params: ModelParams, side: Side) -> MarginalDistribution:
     scale. They equal the row or column sums of ``joint_pmf``'s counts.
     """
     size, other = (params.n, params.m) if side is Side.ACTIVE else (params.m, params.n)
-    a, b = params.p.numerator, params.p.denominator
-    column = _closed_form(size, other, a, b - a, b, 0)
-    return MarginalDistribution(side, b ** (size * other), tuple(_sieve(column))[::-1])
+    column = _closed_form(size, other, params.p, 0)
+    scale = params.p.denominator ** (size * other)
+    return MarginalDistribution(side, scale, tuple(_sieve(column))[::-1])
 
 
 def recombination_check(table: MomentTable, k: int, l: int) -> tuple:

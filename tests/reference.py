@@ -132,6 +132,11 @@ def mix64(z):
     return z ^ (z >> 31)
 
 
+def trial_seed(seed, index):
+    """Seed of trial ``index``: output ``index`` of the split-mix stream over ``seed``."""
+    return mix64(seed + (index + 1) * _GAMMA)
+
+
 def sample_rows(n, m, p, trial_seed):
     """One sampled graph as n row bitmasks over m objects.
 

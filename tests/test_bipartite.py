@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import threading
 import time
@@ -9,6 +10,7 @@ import pytest
 import scipy.stats
 
 from rigjoint import (
+    EmpiricalJointDistribution,
     ModelParams,
     SizeCapError,
     derive_trial_seed,
@@ -114,7 +116,33 @@ class TestSampler:
         assert statistic < scipy.stats.chi2.ppf(1 - 1e-3, dof)
 
 
+class TestTrialSeeds:
+    def test_matches_the_reference_mixer(self):
+        # negative seeds and indices past 2^64 wrap modulo 2^64, as in the reference
+        rng = random.Random(7)
+        cases = [(0, 0), (-1, 0), (11, 399), (-(2**70), 5), (3, 2**64), (2**64 - 1, 2**66 + 9)]
+        cases += [(rng.randrange(-(2**80), 2**80), rng.randrange(2**70)) for _ in range(200)]
+        for seed, index in cases:
+            assert derive_trial_seed(seed, index) == reference.trial_seed(seed, index), (seed, index)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            derive_trial_seed(0, -1)
+
+
 class TestEmpiricalJoint:
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            empirical_joint(P22, 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "counts, trials, message",
+        [(((0, 0), (0, 0)), 0, "positive"), (((1, 2), (0, 0)), 4, "sum")],
+    )
+    def test_distribution_rejects_invalid_tallies(self, counts, trials, message):
+        with pytest.raises(ValueError, match=message):
+            EmpiricalJointDistribution(counts, trials, seed=0)
+
     def test_point_mass_at_p_zero(self):
         emp = empirical_joint(ModelParams(3, 3, Fraction(0)), trials=100, seed=1)
         assert emp.counts[0][0] == 100
@@ -177,7 +205,7 @@ class TestEmpiricalJoint:
                 params = ModelParams(n, m, p)
                 scalar = [[0] * m for _ in range(n)]
                 for t in range(trials):
-                    rows = reference.sample_rows(n, m, p, derive_trial_seed(seed, t))
+                    rows = reference.sample_rows(n, m, p, reference.trial_seed(seed, t))
                     a, b = reference.active_deg(rows, 0), reference.passive_deg(rows, n, m, 0)
                     scalar[a][b] += 1
                 adj = _adjacency_batch(params, seed, 0, trials)

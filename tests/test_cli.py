@@ -231,6 +231,9 @@ class TestInvalidInputs:
             ["scan", "--n", "2", "--m", "2", "--p-grid", "0-1-0.1"],
             ["scan", "--n", "2", "--m", "2", "--p-grid", "0:1:0"],
             ["scan", "--n", "2", "--m", "2", "--p-grid", "0.9:0.1:0.1"],
+            ["scan", "--n", "2", "--m", "2", "--p-grid", "0:half:0.1"],
+            ["scan", "--n", "2", "--m", "2", "--p-grid=-0.1:1:0.1"],  # "=": the text starts with "-"
+            ["scan", "--n", "2", "--m", "2", "--p-grid", "0:1.5:0.1"],
         ],
     )
     def test_exit_2_with_one_line_diagnostic(self, capsys, argv):
@@ -609,10 +612,12 @@ class TestVerifyCommand:
     def wrong_closed_form(self, monkeypatch):
         original = pgf._closed_form
 
-        def per_vertex_exponent_n_minus_k(n, m, a, c, b, l):
+        def per_vertex_exponent_n_minus_k(n, m, p, l):
             # _closed_form with the per-vertex exponent n-1-k changed to n-k,
             # the extra factor c b^l + a c^l left off the common scale
-            return [e * (c * b**l + a * c**l) for e in original(n, m, a, c, b, l)]
+            a, b = p.numerator, p.denominator
+            c = b - a
+            return [e * (c * b**l + a * c**l) for e in original(n, m, p, l)]
 
         monkeypatch.setattr(pgf, "_closed_form", per_vertex_exponent_n_minus_k)
 

@@ -290,6 +290,20 @@ class TestLawContainers:
         with pytest.raises(ValueError, match=message):
             MarginalDistribution(Side.ACTIVE, 16, counts)
 
+    @pytest.mark.parametrize(
+        "scale, numerators, message",
+        [
+            (16, ((16, 9),), "dimensions"),
+            (16, ((16, 9, 0), (9, 7, 0)), "dimensions"),
+            (0, ((0, 0), (0, 0)), "scale"),
+            (16, ((16, -1), (9, 7)), "nonnegative"),
+            (16, ((15, 9), (9, 7)), r"entry \(0,0\) must equal 1, got 15/16"),
+        ],
+    )
+    def test_moment_table_rejects_invalid_numerators(self, scale, numerators, message):
+        with pytest.raises(ValueError, match=message):
+            MomentTable(P22, scale, numerators)
+
 
 class TestJointPmf:
     def test_single_object_side(self):
@@ -438,7 +452,9 @@ class TestEvalJointPgf:
                   (0.3, -1.0), (Fraction(3, 2), -HALF), (-HALF, Fraction(7, 4)),
                   (1.0 + 2.0**-52, 0.5), (0.5, -(2.0**-1074)), (math.nan, 0.5), (0.5, math.inf),
                   # past the doubles: refused before float() could overflow
-                  (10**400, 0.5), (0.5, -(10**400)), (Fraction(10**400, 3), HALF)]
+                  (10**400, 0.5), (0.5, -(10**400)), (Fraction(10**400, 3), HALF),
+                  # past the int-to-str limit: the message must not call str() on them
+                  (10**5000, 0.5), (0.5, -(10**5000))]
         for n, m, p in [(40, 40, Fraction(3, 7)), (9, 14, Fraction(3, 10)),
                         (14, 9, Fraction(3, 10)), (25, 70, Fraction(1, 100)), (1, 1, THIRD),
                         (5, 7, Fraction(0)), (7, 5, Fraction(1))]:
@@ -448,6 +464,23 @@ class TestEvalJointPgf:
                     eval_joint_pgf(params, x, y, Mode.FLOAT)
         # exact mode still evaluates a point past the doubles
         assert eval_joint_pgf(ModelParams(4, 5, THIRD), 10**400, HALF) > 0
+
+    def test_float_refusal_shows_the_point_as_doubles(self):
+        # a value past the doubles shows by its sign alone, never by str()
+        cases = [
+            (lambda: eval_joint_pgf(P22, Fraction(3, 2), -(10**5000), Mode.FLOAT),
+             "float joint PGF is evaluated on [0,1]^2 only, got (1.5, -(past the doubles)); "
+             "use exact mode there"),
+            (lambda: eval_marginal_pgf(P22, Side.PASSIVE, 10**5000, Mode.FLOAT),
+             "float marginal PGF is evaluated on [0,1] only, got +(past the doubles); "
+             "use exact mode there"),
+            (lambda: eval_marginal_pgf(P22, Side.ACTIVE, math.nan, Mode.FLOAT),
+             "float marginal PGF is evaluated on [0,1] only, got nan; use exact mode there"),
+        ]
+        for call, message in cases:
+            with pytest.raises(ValueError) as refused:
+                call()
+            assert str(refused.value) == message
 
     def test_float_window_edge_cases(self):
         edges = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0),
@@ -514,7 +547,8 @@ class TestMarginals:
         # the float sum was 1.880705e-10 against 1.881150e-10, and at 300x300,
         # p=1/10, t=3/2 it was -5.6e61 against 1.9e51.
         points = [-0.5, 1.5, -HALF, Fraction(3, 2), 1.0 + 2.0**-52, -(2.0**-1074),
-                  math.nan, math.inf, -math.inf, 10**400, -(10**400), Fraction(10**400, 3)]
+                  math.nan, math.inf, -math.inf, 10**400, -(10**400), Fraction(10**400, 3),
+                  10**5000, -(10**5000)]
         for n, m, p in [(40, 40, Fraction(3, 7)), (300, 300, Fraction(1, 10)),
                         (1, 6, HALF), (6, 1, Fraction(0)), (7, 5, Fraction(1))]:
             for side in Side:

@@ -18,7 +18,6 @@ from rigjoint import (
     bipartite,
     chi_square,
     default_independence_grid,
-    derive_trial_seed,
     edge_count_correlation,
     empirical_joint,
     eval_joint_pgf,
@@ -367,7 +366,7 @@ class TestEdgeCountCorrelation:
         trials, seed = 200, 17
         totals = [
             reference.projection_edge_counts(
-                reference.sample_rows(n, m, p, derive_trial_seed(seed, t)), n, m
+                reference.sample_rows(n, m, p, reference.trial_seed(seed, t)), n, m
             )
             for t in range(trials)
         ]
