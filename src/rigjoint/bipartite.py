@@ -19,12 +19,12 @@ every edge; ``stats.edge_count_correlation`` needs the whole graph.
 Both samplers run the trial range in batches sized in bytes, not trials
 (``batch_trials``): a batch's largest array holds about ``BATCH_BYTES``
 whatever the shape, so its temporaries stay in cache. ``run_batches`` deals
-the batches out to parallel lanes of threads, one per available CPU up to
-``MAX_LANES``: lane w runs batches w, w + L, w + 2L, ... numpy's ufuncs,
-fancy indexing and ``nonzero`` release the GIL, so the lanes overlap. Each
-lane holds one batch's temporaries at a time, so memory is about the lane
-count times one batch. The tallies are the same for any ``BATCH_BYTES`` and
-lane count.
+the batches out to parallel lanes, one per available CPU up to ``MAX_LANES``,
+run by the calling thread and a ``concurrent.futures.ThreadPoolExecutor``:
+lane w runs batches w, w + L, w + 2L, ... numpy's ufuncs, fancy indexing and
+``nonzero`` release the GIL, so the lanes overlap. Each lane holds one
+batch's temporaries at a time, so memory is about the lane count times one
+batch. The tallies are the same for any ``BATCH_BYTES`` and lane count.
 
 ``exhaustive_joint`` is the ground-truth oracle: it counts every one of the
 2^(n*m) adjacency tables exactly, row by row (a transfer-matrix count), by
@@ -36,9 +36,9 @@ the counts total 2^(n*m), and those with e edges total C(n*m, e). It uses
 no closed form and exists to validate the closed-form route; it is capped
 at n*m <= 22.
 
-The samplers and the enumeration are the only users of numpy here, and each
-function that uses it imports it when called, so importing this module,
-as every ``rigjoint`` process does, does not load numpy.
+The samplers and the enumeration are the only users of numpy here; each
+function that uses it or ``concurrent.futures`` imports it when called, so
+importing this module, as every ``rigjoint`` process does, loads neither.
 """
 
 from __future__ import annotations
@@ -93,8 +93,7 @@ def derive_trial_seed(seed: int, index: int) -> int:
     """Seed for trial ``index`` of the stream rooted at the master ``seed``."""
     if index < 0:
         raise ValueError("trial index must be nonnegative")
-    import numpy as np
-    return int(_mix64_np(np.array([(seed + (index + 1) * _GAMMA) & _MASK], dtype=np.uint64))[0])
+    return int(_trial_seeds(seed, index, 1)[0])
 
 
 def _edge_threshold(params: ModelParams) -> int:
@@ -129,60 +128,44 @@ def run_batches(work: Callable[[Iterator], object], trials: int, batch_size: int
 
     The batches are (start, count) pairs of ``batch_size`` trials, the last
     one shorter. Lane w of L receives batches w, w + L, w + 2L, ... as an
-    iterator; the calling thread runs lane 0 and one thread each the others,
-    and every thread is joined before this returns. Returns the lanes'
-    results in lane order. ``work`` runs on several threads at once, so it
-    may write only to its own lane's state or to disjoint slices of shared
-    arrays, and must call only private helpers: a tracer that wraps public
-    functions is not thread-safe.
+    iterator; the calling thread runs lane 0 and a ``ThreadPoolExecutor`` the
+    others, and every pool thread is joined before this returns or raises.
+    Returns the lanes' results in lane order. ``work`` runs on several
+    threads at once, so it may write only to its own lane's state or to
+    disjoint slices of shared arrays, and must call only private helpers: a
+    tracer that wraps public functions is not thread-safe.
 
     When any lane raises, including on an interrupt in the calling thread,
-    the other lanes stop before their next batch, and the first exception
-    is re-raised once every thread has been joined.
+    the other lanes stop before their next batch. The calling thread's own
+    exception is re-raised; failing that, the lowest-numbered failing lane's.
     """
+    from concurrent.futures import ThreadPoolExecutor
     starts = range(0, trials, batch_size)
     lanes = min(_cpus(), len(starts), MAX_LANES)
     stop = threading.Event()
-    results = [None] * lanes
-    errors = []
 
     def run(lane):
-        def batches():
-            for start in starts[lane::lanes]:
-                if stop.is_set():
-                    return
-                yield start, min(batch_size, trials - start)
-
         try:
-            results[lane] = work(batches())
-        except BaseException as exc:  # re-raised by the calling thread
-            errors.append(exc)
+            return work((start, min(batch_size, trials - start))
+                        for start in starts[lane::lanes] if not stop.is_set())
+        except BaseException:  # stop the other lanes, and let the exception through
             stop.set()
+            raise
 
-    threads = []
-    try:
-        for lane in range(1, lanes):
-            thread = threading.Thread(target=run, args=(lane,), name=f"rigjoint-lane-{lane}")
-            thread.start()
-            threads.append(thread)
-        run(0)
-        for thread in threads:
-            thread.join()
-    except BaseException:  # a thread failed to start, or an interrupt came while joining
-        stop.set()
-        for thread in threads:
-            thread.join()
-        raise
-    if errors:
-        raise errors[0]
-    return results
+    # the pool refuses 0 workers; it starts a thread only when given a task
+    with ThreadPoolExecutor(max(lanes - 1, 1), thread_name_prefix="rigjoint-lane") as pool:
+        try:
+            futures = [pool.submit(run, lane) for lane in range(1, lanes)]
+            return [run(0)] + [future.result() for future in futures]
+        finally:  # a no-op once every lane is done; otherwise stops the lanes before the join
+            stop.set()
 
 
 def _trial_seeds(seed: int, start: int, count: int) -> np.ndarray:
-    """Seeds of trials [start, start+count), as ``derive_trial_seed`` gives them."""
+    """Seeds of trials [start, start+count): trial i mixes (seed + (i+1)*gamma) mod 2^64."""
     import numpy as np
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    return _mix64_np(np.uint64(seed & _MASK) + (idx + np.uint64(1)) * np.uint64(_GAMMA))
+    first = (seed + (start + 1) * _GAMMA) & _MASK
+    return _mix64_np(np.uint64(first) + np.arange(count, dtype=np.uint64) * np.uint64(_GAMMA))
 
 
 def _edges_present(counters: np.ndarray, threshold: int) -> np.ndarray:

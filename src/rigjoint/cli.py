@@ -560,8 +560,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # argparse takes -1/2 or -0.1:1:0.1 for an option; joined to its flag, _admit refuses it
+    tokens = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if tokens and re.fullmatch(r"--\w[\w-]*", tokens[-1]) and re.match(r"-\.?\d", token):
+            token = f"{tokens.pop()}={token}"
+        tokens.append(token)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(tokens)
     except SystemExit as exc:  # argparse already printed the diagnostic
         return int(exc.code or 0)
     try:

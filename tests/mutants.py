@@ -44,6 +44,7 @@ PGF = "src/rigjoint/pgf.py"
 STATS = "src/rigjoint/stats.py"
 CLI = "src/rigjoint/cli.py"
 
+BIPARTITE_TESTS = "tests/test_bipartite.py"
 CLI_TESTS = "tests/test_cli.py"
 PGF_TESTS = "tests/test_pgf.py"
 STATS_TESTS = "tests/test_stats.py"
@@ -118,6 +119,11 @@ MUTANTS = [
      "split-mix finalizer: the second xor-shift by 28, not 27", CLI_TESTS),
     (PGF, "if all(0 <= v <= 1 for v in values):", "if all(-1 <= v <= 1 for v in values):",
      "float PGFs' domain gate: admits [-1, 1], not [0, 1]", PGF_TESTS),
+    (BIPARTITE, " if not stop.is_set())", ")",
+     "run_batches: a lane runs on after another lane fails", BIPARTITE_TESTS),
+    (BIPARTITE, "first = (seed + (start + 1) * _GAMMA) & _MASK",
+     "first = (seed + start * _GAMMA) & _MASK",
+     "trial seeds: trial i mixes seed + i*gamma, not seed + (i+1)*gamma", BIPARTITE_TESTS),
 ]
 
 

@@ -242,6 +242,15 @@ class TestRunBatches:
         monkeypatch.setattr(bipartite, "_cpus", lambda: 1)
         assert bipartite.run_batches(list, 10, 3) == [[(0, 3), (3, 3), (6, 3), (9, 1)]]
 
+    def test_lane_0_runs_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(bipartite, "_cpus", lambda: 8)
+        monkeypatch.setattr(bipartite, "MAX_LANES", 2)
+        before = threading.active_count()
+        lanes = bipartite.run_batches(lambda batches: (threading.get_ident(), list(batches)), 4, 1)
+        assert lanes[0] == (threading.get_ident(), [(0, 1), (2, 1)])
+        assert lanes[1][0] != threading.get_ident() and lanes[1][1] == [(1, 1), (3, 1)]
+        assert threading.active_count() == before
+
     @pytest.mark.parametrize("error, failing_lane", [(RuntimeError, 1), (KeyboardInterrupt, 0)])
     def test_failure_stops_every_lane(self, monkeypatch, error, failing_lane):
         # a batch of one lane raises; the error leaves empirical_joint, the

@@ -225,6 +225,8 @@ class TestInvalidInputs:
             ["pmf", "--n", "0", "--m", "2", "--p", "1/2"],
             ["pmf", "--n", "2", "--m", "2", "--p", "1.5"],
             ["pmf", "--n", "2", "--m", "2", "--p", "-0.25"],
+            ["pmf", "--n", "2", "--m", "2", "--p", "-1/2"],  # not a plain negative number
+            ["pmf", "--n", "2", "--m", "2", "--p", "-1e-3"],
             ["pmf", "--n", "2", "--m", "2", "--p", "one half"],
             ["moments", "--n", "2", "--m", "-3", "--p", "1/2"],
             ["simulate", "--n", "2", "--m", "2", "--p", "1/2", "--trials", "0"],
@@ -232,7 +234,8 @@ class TestInvalidInputs:
             ["scan", "--n", "2", "--m", "2", "--p-grid", "0:1:0"],
             ["scan", "--n", "2", "--m", "2", "--p-grid", "0.9:0.1:0.1"],
             ["scan", "--n", "2", "--m", "2", "--p-grid", "0:half:0.1"],
-            ["scan", "--n", "2", "--m", "2", "--p-grid=-0.1:1:0.1"],  # "=": the text starts with "-"
+            ["scan", "--n", "2", "--m", "2", "--p-grid=-0.1:1:0.1"],
+            ["scan", "--n", "2", "--m", "2", "--p-grid", "-0.1:1:0.1"],
             ["scan", "--n", "2", "--m", "2", "--p-grid", "0:1.5:0.1"],
         ],
     )

@@ -118,7 +118,7 @@ class TestConditionals:
             cond_nonadjacency_given_nonedge(P22, 0, -1)
 
 
-class TestMomentEntry:
+class TestTableEntries:
     def test_trivial_order_zero(self):
         assert moment_table(P22).entry(0, 0) == 1
 
