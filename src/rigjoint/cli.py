@@ -201,9 +201,11 @@ def _law_cells(counts, scale: int, base: int):
     does, so that gcd is gcd(c, scale). The exponent doubles from 1 and the
     last step is the scale itself, so a count with few factors of ``base``
     costs a few gcds against small powers instead of one against the whole
-    scale. The digits of each distinct denominator are made once per call.
-    The decimal is the correctly rounded int/int division, the same double
-    as ``float(Fraction(c, scale))``.
+    scale. Each distinct count is rendered once per call, and the digits of
+    each distinct denominator are made once: a repeated count, such as the
+    mirror cell of a symmetric law, costs one lookup. The decimal is the
+    correctly rounded int/int division, the same double as
+    ``float(Fraction(c, scale))``.
     """
     powers = []
     power = base
@@ -211,17 +213,21 @@ def _law_cells(counts, scale: int, base: int):
         powers.append(power)
         power *= power
     powers.append(scale)
+    cells = {}  # count -> its rendered cell
     den_digits = {}  # gcd -> digits of scale // gcd
     for c in counts:
-        g = 0
-        for power in powers:
-            step = math.gcd(c, power)
-            if step == g:
-                break
-            g = step
-        if g not in den_digits:
-            den_digits[g] = _digits(scale // g)
-        yield _digits(c // g), den_digits[g], f"{c / scale:.17g}"
+        cell = cells.get(c)
+        if cell is None:
+            g = 0
+            for power in powers:
+                step = math.gcd(c, power)
+                if step == g:
+                    break
+                g = step
+            if g not in den_digits:
+                den_digits[g] = _digits(scale // g)
+            cell = cells[c] = _digits(c // g), den_digits[g], f"{c / scale:.17g}"
+        yield cell
 
 
 def cmd_pmf(args, params: ModelParams) -> int:

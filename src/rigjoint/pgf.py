@@ -25,9 +25,11 @@ is F(x, y) = u(x)^T N v(y) with u_k = x^(n-1-k) (1-x)^k and v_l likewise in y.
 Exact mode runs in integers. With p = a/b, every table cell is born an integer
 over the common denominator b^(n*m) (``MomentTable``): the closed form emits
 each numerator over that one scale, and nothing pads it later. There is one
-way to evaluate the form, a whole column at a time from k = 0: along a column
-only k moves, so the closed form's powers in k are running products, each term
-times a fixed step per cell instead of a fresh big-integer power. The
+way to evaluate the form, a column at a time from a first row (k = 0, or
+k = l when n = m): along a column only k moves, so the closed form's powers
+in k are running products, each term times a fixed step per cell instead of
+a fresh big-integer power. At n = m the table is symmetric, so only the
+cells with k >= l are built and the rest are mirrored. The
 transform only adds and subtracts the table's integers, and a law keeps the
 results as integer ``counts`` over that ``scale``, with ``.pmf`` a Fraction
 view built on first access. The marginal moments are the closed form's edge
@@ -283,25 +285,26 @@ def cond_nonadjacency_given_nonedge(params: ModelParams, k: int, l: int) -> Frac
     return _power_sum(params.p, terms)
 
 
-def _closed_form(n: int, m: int, p: Fraction, l: int) -> list:
-    """Column l of the closed product form: N[k][l] for k = 0..n-1, p = a/b, q = c/b.
+def _closed_form(n: int, m: int, p: Fraction, l: int, first: int = 0) -> list:
+    """Column l of the closed product form: N[k][l] for k = first..n-1, p = a/b, q = c/b.
 
     Returns one numerator per k, each over the table's one scale b^(n*m). Along
     the column only k moves: the weighted powers w_i base_i^k and the leading
-    term a c^(k+l) b^(kl) start at k = 0 and are carried as running products,
-    times base_i and c b^l per step in k; the per-vertex powers are tabled once.
+    term a c^(k+l) b^(kl) start at k = ``first`` with one power each
+    (base_i^first, (c b^l)^first) and are carried as running products, times
+    base_i and c b^l per step in k; the per-vertex powers are tabled once.
     """
     a, b, c = p.numerator, p.denominator, p.denominator - p.numerator
     bases = [c ** (i + 1) * b ** (l - i) + a * c**l for i in range(l + 1)]
-    powers = [comb(l, i) * a**i * c ** (l - i) for i in range(l + 1)]
-    lead = a * c**l
+    powers = [comb(l, i) * a**i * c ** (l - i) * base**first for i, base in enumerate(bases)]
     lead_step = c * b**l
+    lead = a * c**l * lead_step**first
     # one vertex misses all l marked objects; padded to b^m, so every cell is over b^(n*m)
     per_vertex = (c * b**l + a * c**l) * b ** (m - 1 - l)
-    vertex_pow = _powers(per_vertex, n - 1)
+    vertex_pow = _powers(per_vertex, n - 1 - first)
     column = []
-    for k in range(n):
-        if k:
+    for k in range(first, n):
+        if k > first:
             powers = [w * base for w, base in zip(powers, bases)]
             lead *= lead_step
         bracket = lead + c * sum(powers)  # over b^((k+1)(l+1))
@@ -324,10 +327,16 @@ def moment_table(params: ModelParams) -> MomentTable:
     table is built with n >= m and transposed when m > n, by the duality
     N_{n,m}[k][l] = N_{m,n}[l][k]. It is built a column (one l, every k) per
     ``_closed_form`` call, so the powers in k are running products rather
-    than a fresh big-integer power per cell.
+    than a fresh big-integer power per cell. At n = m the duality makes the
+    table symmetric, N[k][l] = N[l][k], so column l is built from k = l only
+    and its cells above the diagonal are read from column k.
     """
     rows, cols = max(params.n, params.m), min(params.n, params.m)
-    columns = [_closed_form(rows, cols, params.p, l) for l in range(cols)]
+    if rows == cols:
+        half = [_closed_form(rows, cols, params.p, l, l) for l in range(cols)]
+        columns = [[half[k][l - k] for k in range(l)] + half[l] for l in range(cols)]
+    else:
+        columns = [_closed_form(rows, cols, params.p, l) for l in range(cols)]
     numerators = tuple(map(tuple, columns if params.n < params.m else zip(*columns)))
     return MomentTable(params, params.p.denominator ** (params.n * params.m), numerators)
 

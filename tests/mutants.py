@@ -50,6 +50,19 @@ PGF_TESTS = "tests/test_pgf.py"
 STATS_TESTS = "tests/test_stats.py"
 TOTALITY_TESTS = "tests/test_totality.py"
 
+# _law_cells's memo, from its lookup to its store, for a mutant that changes both keys
+_LAW_MEMO = """cell = cells.get(c)
+        if cell is None:
+            g = 0
+            for power in powers:
+                step = math.gcd(c, power)
+                if step == g:
+                    break
+                g = step
+            if g not in den_digits:
+                den_digits[g] = _digits(scale // g)
+            cell = cells[c] ="""
+
 MUTANTS = [
     (PGF, "lead_step = c * b**l", "lead_step = c * b ** (l + 1)",
      "closed form: the lead term's step in k has exponent l", TOTALITY_TESTS),
@@ -86,7 +99,7 @@ MUTANTS = [
     (PGF, "(comb(size - 1, k) * (q + p * q**k) ** other)",
      "(comb(size - 1, k) * (q + p * q ** (k + 1)) ** other)",
      "float marginal PGF: q^(k+1) for q^k in the moment", PGF_TESTS),
-    (PGF, "        if k:\n            powers", "        if k > 1:\n            powers",
+    (PGF, "        if k > first:\n            powers", "        if k > first + 1:\n            powers",
      "closed form: the running product in k skips its first step", TOTALITY_TESTS),
     (PGF, "b_pow[top - i - j] for w, i, j in terms", "b_pow[top - i - j - 1] for w, i, j in terms",
      "_power_sum: a term padded by one power of b too few", TOTALITY_TESTS),
@@ -124,6 +137,12 @@ MUTANTS = [
     (BIPARTITE, "first = (seed + (start + 1) * _GAMMA) & _MASK",
      "first = (seed + start * _GAMMA) & _MASK",
      "trial seeds: trial i mixes seed + i*gamma, not seed + (i+1)*gamma", BIPARTITE_TESTS),
+    (PGF, "half[k][l - k]", "half[k][0]",
+     "square table: the cells above the diagonal read from the wrong place in column k",
+     TOTALITY_TESTS),
+    (CLI, _LAW_MEMO, _LAW_MEMO.replace("cells.get(c)", "cells.get(c.bit_length())")
+     .replace("cells[c]", "cells[c.bit_length()]"),
+     "_law_cells: the memo keyed by bit length, coarser than the count", CLI_TESTS),
 ]
 
 

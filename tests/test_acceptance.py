@@ -3,6 +3,8 @@ PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s`` to see
 them). Tolerances are pinned here; exact means exact rational equality.
 """
 
+import contextlib
+import io
 import random
 import time
 from fractions import Fraction
@@ -216,7 +218,14 @@ def test_criterion_11_performance():
     start = time.perf_counter()
     dist = joint_pmf(ModelParams(40, 40, Fraction(1, 2)))
     exact_elapsed = time.perf_counter() - start
-    ok = sum(v for row in dist.pmf for v in row) == 1 and exact_elapsed < 0.5
+    ok = sum(v for row in dist.pmf for v in row) == 1 and exact_elapsed < 0.25
+
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = main(["pmf", "--n", "40", "--m", "40", "--p", "3/7"])
+    cli_elapsed = time.perf_counter() - start
+    ok = ok and code == 0 and out.getvalue().startswith("a,b,") and cli_elapsed < 0.5
 
     start = time.perf_counter()
     big = ModelParams(500, 500, Fraction(1, 5))
@@ -250,7 +259,8 @@ def test_criterion_11_performance():
         11,
         "performance envelopes",
         ok,
-        f"exact 40x40 pmf {exact_elapsed:.2f}s < 0.5s; float 500x500 {float_elapsed:.2f}s < 0.3s; "
+        f"exact 40x40 pmf {exact_elapsed:.3f}s < 0.25s; "
+        f"CLI pmf 40x40 at 3/7 {cli_elapsed:.3f}s < 0.5s; float 500x500 {float_elapsed:.2f}s < 0.3s; "
         f"float 700x700 at (0, 0.7) {edge_elapsed:.3f}s < 0.05s; "
         f"Monte Carlo 50x50 40000 trials {sample_elapsed:.2f}s < 0.5s; "
         f"edge-count correlation 20x20 40000 trials {corr_elapsed:.2f}s < 0.5s; "

@@ -197,6 +197,16 @@ class TestLawCells:
             counts += [prime ** (share + extra) for extra in (1, 2, 9)]
         assert list(_law_cells(counts, scale, base)) == fraction_cells(counts, scale)
 
+    @pytest.mark.parametrize("base", LAW_BASES)
+    def test_repeated_counts(self, base):
+        # each count at several positions, interleaved with the others, as the
+        # mirror cells of a symmetric law are
+        scale = base**9
+        distinct = [0, 1, scale, 5 * base**3, 7 * base**8, 2**40]
+        counts = [distinct[i % len(distinct)] for i in range(4 * len(distinct))]
+        counts += counts[::-3]
+        assert list(_law_cells(counts, scale, base)) == fraction_cells(counts, scale)
+
     def test_reduces_past_the_scales_share_of_a_prime(self):
         # 4/6: doubling the exponent to 6^2 would wrongly cancel 2^2
         assert list(_law_cells([4, 9], 6, 6)) == [

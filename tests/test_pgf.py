@@ -236,6 +236,23 @@ class TestMomentTable:
         assert got == digests
 
 
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1), Fraction(1, 1000), Fraction(3, 7),
+                                   HALF, Fraction(999, 1000)])
+    def test_square_table_equals_the_unmirrored_build(self, p):
+        # at n = m the table builds only k >= l and mirrors the rest
+        for n in range(1, 13):
+            full = [pgf._closed_form(n, n, p, l) for l in range(n)]
+            assert moment_table(ModelParams(n, n, p)).numerators == tuple(zip(*full))
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (5, 5), (7, 3), (3, 7), (12, 9)])
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1), Fraction(1, 1000), Fraction(3, 7)])
+    def test_closed_form_from_any_first_row(self, n, m, p):
+        for l in range(m):
+            column = pgf._closed_form(n, m, p, l)
+            for first in range(n):
+                assert pgf._closed_form(n, m, p, l, first) == column[first:]
+
+
 class TestSieveInvert:
     def test_2x2_pinned(self):
         dist = sieve_invert(moment_table(P22))
