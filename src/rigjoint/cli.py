@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import pgf
 from .bipartite import ENUMERATION_CAP, empirical_joint, exhaustive_joint, sample_words
 from .exact import Mode, SizeCapError, parse_probability
-from .pgf import ModelParams, Side, joint_pmf, marginal_pmf, recombination_check
+from .pgf import ModelParams, Side, joint_pmf, marginal_pmf
 from .stats import chi_square, moments, tv_distance
 
 EXIT_OK = 0
@@ -52,13 +52,17 @@ MAX_SIMULATE_WORDS = 10**9
 # builds 10^|exponent|: on 2 vCPUs 1e-100000 parsed in 0.01 s, 1e-1000000 in 0.33 s.
 MAX_P_EXPONENT = 100_000
 
-# Most exact work that moments and scan may do: the sum over grid points of D^2, with D
-# the digits of den(p)^(4 max(n, m)), or den(p)^4 at n = 1 or m = 1, which bounds the powers
-# the closed forms build. Their big-integer gcds make a point cost about D^2. On 2 vCPUs,
-# 2000x2000 at p = 1/9999 (D = 32000, int-to-str limit lifted) took 0.35 s, and grids at
-# the bound took 0.56 s (500x500, 27 points at den(p) = 19997) and 0.93 s (100x100, 600
-# points at 10007), 3e-10 to 6e-10 s per squared digit; any point also costs about 0.25 ms.
+# Most exact work that moments and scan may do: the sum over grid points of D^2 +
+# MOMENT_POINT_WORK, with D the digits of den(p)^(4 max(n, m)), or den(p)^4 at n = 1 or
+# m = 1, which bounds the powers the closed forms build. A point's big-integer products and
+# the five reductions of its moments cost about D^2, and any point costs about 30 us more,
+# which MOMENT_POINT_WORK counts as squared digits. On 2 vCPUs, with stats.moments called
+# directly, 2000x2000 at p = 1/9999 (D = 32000, int-to-str limit lifted) took 0.06 s and
+# 100x100 at 600 points of den(p) = 10007 0.26 s, 0.6e-10 to 1.7e-10 s per squared digit.
+# The slowest grids found at the bound, 10000 points with D near 300 (19x19 and 20x20 at
+# --p-grid 1e-4:1:1e-4, 3x3 at 1e-26:1e-22:1e-26), took 0.75-0.85 s as in-process CSV scans.
 MAX_MOMENT_WORK = 2 * 10**9
+MOMENT_POINT_WORK = 10**5
 
 # Most digits of den(p)^(n*m), the scale of every integer verify compares, that exact
 # verify may reach. On 2 vCPUs, at 2x11, 11x2, 1x22, 22x1, 4x5, 5x4, 3x7 and 4x4, verify
@@ -95,8 +99,10 @@ def _dec(value) -> str:
     """
     if isinstance(value, str):
         return value
-    if isinstance(value, float) or abs(value) < _PAST_DOUBLE:
+    try:
         return f"{float(value):.17g}"
+    except OverflowError:  # float() of an int or Fraction raises from _PAST_DOUBLE on
+        pass
     from decimal import Decimal  # exact for any int, and not loaded at start-up
     mantissa, exponent = format(Decimal(int(value)), ".17g").split("e")
     return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
@@ -117,23 +123,25 @@ def _digits(value: int) -> str:
         raise _too_many_digits() from exc
 
 
-def _power_past(base: int, exp: int, digits: int, divisor: int = 1) -> bool:
-    """Whether base^exp / divisor >= 10^digits, for exp, divisor >= 1; False if base < 2.
+def _power_past(base: int, exp: int, digits: int, factor=1) -> bool:
+    """Whether base^exp * factor >= 10^digits, for exp >= 1 and rational factor; False if base < 2.
 
-    digits = 0, Python's int-to-str setting for no limit, bounds nothing. The test
-    compares log2(exp) + log2(log2(base)) with log2(digits log2(10) + log2(divisor)),
-    which overflows at no size argparse accepts, and is exact where the two are too
-    close to call.
+    digits = 0, Python's int-to-str setting for no limit, bounds nothing, and so
+    does a factor <= 0. The test compares log2(exp) + log2(log2(base)) with
+    log2(t), t = digits log2(10) - log2(factor), which overflows at no size argparse
+    accepts, and is exact where the two are too close to call. A t below 1/2 is
+    passed at once, since base^exp >= 2.
     """
-    if digits == 0 or base < 2:
+    if digits == 0 or base < 2 or factor <= 0:
         return False
-    gap = (
-        math.log2(exp) + math.log2(math.log2(base))
-        - math.log2(digits * math.log2(10) + math.log2(divisor))
-    )
+    target = (digits * math.log2(10) - math.log2(factor.numerator)
+              + math.log2(factor.denominator))
+    if target < 0.5:
+        return True
+    gap = math.log2(exp) + math.log2(math.log2(base)) - math.log2(target)
     if abs(gap) > 1e-9:
         return gap > 0
-    return base**exp >= divisor * 10**digits
+    return base**exp * factor.numerator >= factor.denominator * 10**digits
 
 
 def _exact_law_refusal(params: ModelParams) -> SizeCapError | None:
@@ -349,8 +357,9 @@ def cmd_verify(args, params: ModelParams) -> int:
     enumerated polynomial is one integer over scale * den(x)^(n-1) *
     den(y)^(m-1), cross-multiplied with the table's F, and Fractions are formed
     only to report a mismatch. ``edge_split_recombination`` rebuilds each
-    N[k][l] from the conditionals and compares it with the table's cell, so
-    all three checks test the table that ``pmf`` sieves.
+    N[k][l] from the conditionals and cross-multiplies it with the table's
+    numerator (``pgf.recombination_mismatches``), so all three checks test the
+    table that ``pmf`` sieves.
     """
     n, m = params.n, params.m
     oracle = exhaustive_joint(params)
@@ -370,11 +379,8 @@ def cmd_verify(args, params: ModelParams) -> int:
                     )
 
     def recombination_mismatches():
-        for k in range(n):
-            for l in range(m):
-                lhs, rhs = recombination_check(table(), k, l)
-                if lhs != rhs:
-                    yield f"(k,l) = ({k},{l}): edge split {lhs}, closed form {rhs}"
+        for k, l, lhs, rhs in pgf.recombination_mismatches(table()):
+            yield f"(k,l) = ({k},{l}): edge split {lhs}, closed form {rhs}"
 
     def transform_mismatches():
         for x, y in _VERIFY_POINTS:
@@ -506,24 +512,53 @@ def _admit(args) -> dict:
         # With p = a/b in lowest terms and b >= 2, a printed moment is N / b^e with gcd(N, b^e)
         # = gcd(f, b^e) for its (e, f) in `printed`. E[X] = (n-1)(1-(1-p^2)^m) has N n-1 times
         # an integer coprime to b, and cov (n-1)(m-1) times one. Var X has N = (n-1)(S b^(2m)
-        # + (n-2) R b^m - (n-1) S^2), S and R coprime to b, whose sum has as many factors of
-        # each prime of b as n-1 has once n-1 < 2^m. E[Y] and Var Y swap n and m. CSV scan
-        # prints only decimals, and keeps the means' bound b^(2m) / (n-1).
+        # + (n-2) R b^m - (n-1) S^2), S and R coprime to b, whose sum gcd(n-1, b^m) divides;
+        # once n-1 < 2^m the sum has exactly as many factors of each prime of b as n-1 has.
+        # So f = (n-1) gcd(n-1, b^m) gives Var X's reduced denominator there, and an upper
+        # bound on it elsewhere. E[Y] and Var Y swap n and m. A printed numerator is its
+        # reduced denominator times the moment, and each moment has a bound that grows with
+        # p, taken at the grid's largest: E[X] <= (n-1) min(1, m p^2), by a union bound over
+        # the objects; Var X <= (n-1)^2 / 4 (Popoviciu's inequality, X in [0, n-1]) and Var X
+        # <= E[X^2] = E[X] + E[X(X-1)] <= E[X] + (n-1)(n-2) min(1, m p^3 (1 + m p)), by a union
+        # bound over the objects two other vertices share with the tracked one; |cov| <=
+        # (n-1)(m-1) / 4. Both digit counts are refused before the work, the denominator's
+        # only where it is exact. CSV scan prints only decimals, and keeps the means' bound
+        # b^(2m) / (n-1).
         limit = sys.get_int_max_str_digits()
         exact = command == "moments" or args.format == "json"
-        printed = [(2 * m, n - 1), (2 * n, m - 1)]
+        p = points[-1].p
+
+        def mean(size, other):
+            return (size - 1) * min(1, other * p * p)
+
+        def var(size, other):
+            pairs = (size - 1) * (size - 2) * min(1, other * p**3 * (1 + other * p))
+            return min(Fraction((size - 1) ** 2, 4), mean(size, other) + pairs)
+
+        # (e, f, the moment's bound, whether b^e / gcd(f, b^e) is the reduced denominator)
+        printed = [(2 * m, n - 1, mean(n, m), True), (2 * n, m - 1, mean(m, n), True)]
         if exact and min(n, m) >= 2:
-            printed.append((2 * (n + m), (n - 1) * (m - 1)))
-        if command == "moments":
-            printed += [(4 * other, (size - 1) ** 2) for size, other in ((n, m), (m, n))
-                        if (size - 1).bit_length() <= other]
+            printed.append((2 * (n + m), (n - 1) * (m - 1), Fraction((n - 1) * (m - 1), 4), True))
+        if command == "moments":  # one point, so one b
+            b = p.denominator
+            printed += [(4 * other, (size - 1) * math.gcd(size - 1, pow(b, other, size - 1)),
+                         var(size, other), (size - 1).bit_length() <= other)
+                        for size, other in ((n, m), (m, n)) if size > 1]
         for b in {point.p.denominator for point in points}:
-            if any(f and _power_past(b, e, limit, math.gcd(f, pow(b, e, f)) if exact else f)
-                   for e, f in printed):
-                raise _too_many_digits()
+            for e, f, bound, reduced in printed:
+                if not f:
+                    continue
+                if not exact:
+                    past = _power_past(b, e, limit, Fraction(1, f))
+                else:
+                    g = math.gcd(f, pow(b, e, f))
+                    factor = Fraction(max(bound, 1) if reduced else bound, g)
+                    past = _power_past(b, e, limit, factor)
+                if past:
+                    raise _too_many_digits()
         side = max(n, m) if min(n, m) > 1 else 1
         try:  # p = 0 and p = 1 are point masses and build no powers
-            work = sum((4 * side * math.log10(point.p.denominator)) ** 2
+            work = sum((4 * side * math.log10(point.p.denominator)) ** 2 + MOMENT_POINT_WORK
                        for point in points if point.p.denominator > 1)
         except OverflowError:  # a side past the doubles, with the int-to-str limit lifted
             work = math.inf

@@ -35,7 +35,8 @@ results as integer ``counts`` over that ``scale``, with ``.pmf`` a Fraction
 view built on first access. The marginal moments are the closed form's edge
 column N[k][0] (column 0 of the transposed model for the passive side), born
 over the same denominator; each edge-split conditional sums its terms as one
-integer over a power of b (``_power_sum``), and exact PGFs are integer dot
+integer over b^(n*m-1) (``_EdgeSplit``), so ``verify`` compares the edge split
+with the table by cross-multiplying integers, and exact PGFs are integer dot
 products with the basis u or v. The transform cancels catastrophically in
 floating point, so there is no float pmf: float mode here covers PGF point
 evaluation (``eval_joint_pgf``, ``eval_marginal_pgf``).
@@ -218,21 +219,6 @@ def _check_orders(params: ModelParams, k: int, l: int) -> None:
         raise ValueError(f"l must lie in [0, {params.m - 1}], got {l}")
 
 
-def _power_sum(p: Fraction, terms) -> Fraction:
-    """Sum of w * p^i * (1-p)^j over the (w, i, j) terms, as one Fraction.
-
-    With p = a/b, each term is the integer w a^i (b-a)^j over b^(i+j), padded
-    to the largest exponent E = max(i+j), so the sum is one integer over b^E.
-    The powers of a, b-a and b are tabled once per call, not formed per term.
-    """
-    terms = list(terms)
-    a, b = p.numerator, p.denominator
-    top = max(i + j for _, i, j in terms)
-    a_pow, c_pow, b_pow = (_powers(base, top) for base in (a, b - a, b))
-    total = sum(w * a_pow[i] * c_pow[j] * b_pow[top - i - j] for w, i, j in terms)
-    return Fraction(total, b_pow[top])
-
-
 def _powers(base: int, top: int) -> list:
     """base^e for e = 0..top, each one multiplication from the last."""
     powers = [1]
@@ -241,23 +227,76 @@ def _powers(base: int, top: int) -> list:
     return powers
 
 
+class _EdgeSplit:
+    """The edge-split conditionals of one model, as integers over powers of b = den(p).
+
+    With p = a/b and c = b - a, a term w p^i (1-p)^j of a conditional is
+    w a^i c^j b^(T-i-j) over b^T, T = n*m - 1: the term fixes the state of
+    i + j distinct edges other than the tracked one, so i + j <= T, and each
+    conditional is one integer over b^T. The powers of a, c and b up to T and
+    the binomial rows are built once per model and shared by every (k, l).
+    Every sum runs term by term and shares no formula with ``_closed_form``,
+    so the two stay independent routes to N[k][l].
+    """
+
+    def __init__(self, params: ModelParams):
+        self.n, self.m = params.n, params.m
+        self.a, self.b = params.p.numerator, params.p.denominator
+        self.top = self.n * self.m - 1
+        self.a_pow, self.c_pow, self.b_pow = (
+            _powers(base, self.top) for base in (self.a, self.b - self.a, self.b)
+        )
+        sizes = range(max(self.n, self.m))
+        self.rows = [[comb(size, r) for r in range(size + 1)] for size in sizes]
+
+    def edge(self, k: int, l: int) -> int:
+        """Numerator of ``cond_nonadjacency_given_edge`` over b^T."""
+        n, m, top, rows = self.n, self.m, self.top, self.rows
+        a_pow, c_pow, b_pow = self.a_pow, self.c_pow, self.b_pow
+        objects, vertices = rows[m - 1 - l], rows[n - 1 - k]
+        total = 0
+        for i in range(1, n - k + 1):
+            for j in range(1, m - l + 1):
+                x, y = i + j - 2, (m - j) + (j - 1) * k + (n - i) + (i - 1) * l
+                total += vertices[i - 1] * objects[j - 1] * a_pow[x] * c_pow[y] * b_pow[top - x - y]
+        return total
+
+    def nonedge(self, k: int, l: int) -> int:
+        """Numerator of ``cond_nonadjacency_given_nonedge`` over b^T."""
+        n, m, top, rows = self.n, self.m, self.top, self.rows
+        a_pow, c_pow, b_pow = self.a_pow, self.c_pow, self.b_pow
+        objects, marked_objects = rows[m - 1 - l], rows[l]
+        vertices, marked_vertices = rows[n - 1 - k], rows[k]
+        total = 0
+        for i_s in range(k + 1):
+            for i_o in range(n - k):
+                for j_s in range(l + 1):
+                    w = marked_vertices[i_s] * vertices[i_o] * marked_objects[j_s]
+                    for j_o in range(m - l):
+                        x = j_o + j_s + i_o + i_s
+                        y = ((m - 1 - j_o - j_s) + (n - 1 - i_o - i_s)
+                             + (j_o + j_s) * k + (i_o + i_s) * l - i_s * j_s)
+                        total += w * objects[j_o] * a_pow[x] * c_pow[y] * b_pow[top - x - y]
+        return total
+
+    def recombined(self, k: int, l: int) -> int:
+        """Numerator over b^(T+1) of C(n-1,k) C(m-1,l) (p edge(k, l) + (1-p) nonedge(k, l))."""
+        weight = self.rows[self.n - 1][k] * self.rows[self.m - 1][l]
+        return weight * (self.a * self.edge(k, l) + (self.b - self.a) * self.nonedge(k, l))
+
+
 def cond_nonadjacency_given_edge(params: ModelParams, k: int, l: int) -> Fraction:
     """P(tracked pair avoids k marked vertices and l marked objects | edge).
 
     Conditioned on the tracked vertex-object edge being present. The index i
     runs over the number of vertices attached to the tracked object, j over
     the number of objects attached to the tracked vertex; marked vertices and
-    objects must avoid everything attached to the opposite anchor.
+    objects must avoid everything attached to the opposite anchor. The sum is
+    one integer over den(p)^(n*m-1) (``_EdgeSplit.edge``), reduced once here.
     """
     _check_orders(params, k, l)
-    n, m = params.n, params.m
-    terms = (
-        (comb(m - 1 - l, j - 1) * comb(n - 1 - k, i - 1), i + j - 2,
-         (m - j) + (j - 1) * k + (n - i) + (i - 1) * l)
-        for i in range(1, n - k + 1)
-        for j in range(1, m - l + 1)
-    )
-    return _power_sum(params.p, terms)
+    split = _EdgeSplit(params)
+    return Fraction(split.edge(k, l), split.b_pow[split.top])
 
 
 def cond_nonadjacency_given_nonedge(params: ModelParams, k: int, l: int) -> Fraction:
@@ -268,21 +307,12 @@ def cond_nonadjacency_given_nonedge(params: ModelParams, k: int, l: int) -> Frac
     tracked vertex), so attachment counts split into an outside part (i_o,
     j_o) and a marked part (i_s, j_s). Avoidance constraints between the two
     attached sets overlap on i_s*j_s cross pairs, hence the correction in the
-    power of 1-p.
+    power of 1-p. The sum is one integer over den(p)^(n*m-1)
+    (``_EdgeSplit.nonedge``), reduced once here.
     """
     _check_orders(params, k, l)
-    n, m = params.n, params.m
-    terms = (
-        (comb(m - 1 - l, j_o) * comb(l, j_s) * comb(n - 1 - k, i_o) * comb(k, i_s),
-         j_o + j_s + i_o + i_s,
-         (m - 1 - j_o - j_s) + (n - 1 - i_o - i_s)
-         + (j_o + j_s) * k + (i_o + i_s) * l - i_s * j_s)
-        for i_s in range(k + 1)
-        for i_o in range(n - k)
-        for j_s in range(l + 1)
-        for j_o in range(m - l)
-    )
-    return _power_sum(params.p, terms)
+    split = _EdgeSplit(params)
+    return Fraction(split.nonedge(k, l), split.b_pow[split.top])
 
 
 def _closed_form(n: int, m: int, p: Fraction, l: int, first: int = 0) -> list:
@@ -555,18 +585,28 @@ def recombination_check(table: MomentTable, k: int, l: int) -> tuple:
     """Rebuild N[k][l] from the edge/non-edge conditionals; return (lhs, rhs).
 
     lhs multiplies the subset count C(n-1,k) C(m-1,l) into the edge-split
-    mixture p * P(avoid | edge) + (1-p) * P(avoid | no edge); rhs is the
-    table's cell ``table.entry(k, l)``. Callers assert lhs == rhs.
+    mixture p * P(avoid | edge) + (1-p) * P(avoid | no edge), one integer over
+    den(p)^(n*m) (``_EdgeSplit.recombined``); rhs is the table's cell
+    ``table.entry(k, l)``. Callers assert lhs == rhs.
     """
     params = table.params
     _check_orders(params, k, l)
-    p = params.p
-    lhs = (
-        comb(params.n - 1, k)
-        * comb(params.m - 1, l)
-        * (
-            p * cond_nonadjacency_given_edge(params, k, l)
-            + (1 - p) * cond_nonadjacency_given_nonedge(params, k, l)
-        )
-    )
-    return lhs, table.entry(k, l)
+    split = _EdgeSplit(params)
+    return Fraction(split.recombined(k, l), split.b_pow[split.top] * split.b), table.entry(k, l)
+
+
+def recombination_mismatches(table: MomentTable):
+    """Yield (k, l, lhs, rhs) for each cell where the edge split disagrees with the table.
+
+    The sweep of ``recombination_check`` over every (k, l), in integers: the
+    powers and binomial rows are built once, and each lhs, an integer over
+    den(p)^(n*m), is compared with the table's numerator over ``table.scale``
+    by cross-multiplication. Fractions are built only for a mismatch.
+    """
+    split = _EdgeSplit(table.params)
+    scale = split.b_pow[split.top] * split.b
+    for k, row in enumerate(table.numerators):
+        for l, numerator in enumerate(row):
+            lhs = split.recombined(k, l)
+            if lhs * table.scale != numerator * scale:
+                yield k, l, Fraction(lhs, scale), table.entry(k, l)

@@ -8,10 +8,15 @@ and two others both share none with probability r per object, so
 E[X] = (n-1)(1-s^m), Var X = (n-1) s^m (1-s^m) + (n-1)(n-2)(r^m - s^(2m)),
 Y swaps n and m, and cov(X, Y) = (n-1)(m-1) s^(n+m-4) q^2 p^3 (4+p-2p^2-p^3).
 Each is written once, and only ``_bases``, which raises s and r to powers,
-knows the mode: Fractions in exact mode, log1p and expm1 in float mode. X and
-Y are both increasing functions of the edge set, so cov(X, Y) >= 0 by
-Harris's inequality (Harris 1960); the closed form is a product of
-nonnegative factors (4+p-2p^2-p^3 >= 2 on [0, 1]) in either mode.
+knows the mode: log1p and expm1 in float mode and, in exact mode, the carrier
+``_Scaled``, an integer numerator over a power of b = den(p). With p = a/b,
+s = (b^2 - a^2) / b^2 and r = (b - a)(b^2 + ab - a^2) / b^3, so every closed
+form is integer products and sums over powers of b, with no gcd until each
+moment is reduced once into the Fraction that ``MomentSummary`` holds; the
+exact corr is read off the same integers. X and Y are both increasing
+functions of the edge set, so cov(X, Y) >= 0 by Harris's inequality (Harris
+1960); the closed form is a product of nonnegative factors (4+p-2p^2-p^3 >= 2
+on [0, 1]) in either mode.
 
 Only ``edge_count_correlation`` and its helpers use numpy, and they import
 it when called; moments, the independence gap, TV distance and chi-square run without
@@ -55,23 +60,77 @@ class MomentSummary:
     corr: Optional[float]
 
 
+class _Scaled:
+    """Exact mode's carrier: the value num / base^exp, with base = den(p).
+
+    Products multiply numerators and add exponents, and sums first lift the
+    smaller exponent by a power of base, so no operation takes a gcd: a
+    moment is reduced once, by ``fraction``. Plain ints enter at exponent 0.
+    """
+
+    __slots__ = ("num", "exp", "base")
+
+    def __init__(self, num: int, exp: int, base: int):
+        self.num, self.exp, self.base = num, exp, base
+
+    def _lift(self, other) -> "_Scaled":
+        return other if isinstance(other, _Scaled) else _Scaled(other, 0, self.base)
+
+    def __add__(self, other) -> "_Scaled":
+        other = self._lift(other)
+        shift = self.exp - other.exp
+        if shift >= 0:
+            return _Scaled(self.num + other.num * self.base**shift, self.exp, self.base)
+        return _Scaled(self.num * self.base**-shift + other.num, other.exp, self.base)
+
+    __radd__ = __add__
+
+    def __mul__(self, other) -> "_Scaled":
+        if isinstance(other, _Scaled):
+            return _Scaled(self.num * other.num, self.exp + other.exp, self.base)
+        return _Scaled(self.num * other, self.exp, self.base)
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "_Scaled":
+        return _Scaled(-self.num, self.exp, self.base)
+
+    def __sub__(self, other) -> "_Scaled":
+        return self + -self._lift(other)
+
+    def __rsub__(self, other) -> "_Scaled":
+        return -self + other
+
+    def __pow__(self, e: int) -> "_Scaled":
+        return _Scaled(self.num**e, self.exp * e, self.base)
+
+    def fraction(self) -> Fraction:
+        return Fraction(self.num, self.base**self.exp)
+
+
 def _bases(p: Fraction, mode: Mode) -> tuple:
     """(p, q, s_pow, gap) in ``mode``'s carrier, for 0 < p < 1.
 
-    s_pow(e) = (s^e, 1 - s^e) and gap(e) = r^e - s^(2e). Float mode takes exp
-    and -expm1 of e log s, and gap(e) = r^e (1 - t^e) with t = s^2/r =
-    1 - p^3/(1+pq), so nothing cancels. Above p = 1/2, where s = q(1+p) and
-    r = q(1+pq), each log is summed around log q, q rounded once from the
-    exact 1-p (or, below the normal doubles, logged from its integers).
+    s_pow(e) = (s^e, 1 - s^e) and gap(e) = r^e - s^(2e). Exact mode keeps
+    integers over powers of b, p = a/b: s = S / b^2 and r = R / b^3 with
+    S = b^2 - a^2 and R = (b-a)(b^2 + ab - a^2), so s_pow(e) is S^e and
+    b^(2e) - S^e over b^(2e), and gap(e) is R^e b^e - S^(2e) over b^(4e).
+    Float mode takes exp and -expm1 of e log s, and gap(e) = r^e (1 - t^e)
+    with t = s^2/r = 1 - p^3/(1+pq), so nothing cancels. Above p = 1/2, where
+    s = q(1+p) and r = q(1+pq), each log is summed around log q, q rounded
+    once from the exact 1-p (or, below the normal doubles, logged from its
+    integers).
     """
     if mode is Mode.EXACT:
-        s, r = 1 - p * p, (1 - p) * (1 + p * (1 - p))
+        a, b = p.numerator, p.denominator
+        s, r = b * b - a * a, (b - a) * (b * b + a * b - a * a)
 
         def s_pow(e):
             power = s**e
-            return power, 1 - power
+            return _Scaled(power, 2 * e, b), _Scaled(b ** (2 * e) - power, 2 * e, b)
 
-        return p, 1 - p, s_pow, lambda e: r**e - s ** (2 * e)
+        return (_Scaled(a, 1, b), _Scaled(b - a, 1, b), s_pow,
+                lambda e: _Scaled(r**e * b**e - s ** (2 * e), 4 * e, b))
     f, q = float(p), float(1 - p)
     if f <= 0.5:
         log_s, log_r, log_t = (math.log1p(-f * f * x) for x in (1, 1 + q, f / (1 + f * q)))
@@ -102,7 +161,7 @@ def moments(params: ModelParams, mode: Mode = Mode.EXACT) -> MomentSummary:
     """Moment summary of the degree pair from the closed forms."""
     n, m, p = params.n, params.m, params.p
     if p in (0, 1):  # a point mass at (0, 0) or (n-1, m-1)
-        mean_x, mean_y, var_x, var_y, cov = (n - 1) * p, (m - 1) * p, 0, 0, 0
+        values = (n - 1) * p, (m - 1) * p, 0, 0, 0
     else:
         p, q, s_pow, gap = _bases(p, mode)
         mean_x, var_x = _side(n, m, s_pow, gap)
@@ -111,7 +170,8 @@ def moments(params: ModelParams, mode: Mode = Mode.EXACT) -> MomentSummary:
         if n > 1 and m > 1:
             cov = (n - 1) * ((m - 1) * (s_pow(n + m - 4)[0] * q * q * p**3
                                         * (4 + p - 2 * p * p - p**3)))
-    fields = (as_scalar(v, mode) for v in (mean_x, mean_y, var_x, var_y, cov))
+        values = mean_x, mean_y, var_x, var_y, cov
+    fields = (v.fraction() if isinstance(v, _Scaled) else as_scalar(v, mode) for v in values)
     mean_x, mean_y, var_x, var_y, cov = fields
     if var_x <= 0 or var_y <= 0:
         corr = None
@@ -119,10 +179,15 @@ def moments(params: ModelParams, mode: Mode = Mode.EXACT) -> MomentSummary:
         corr = cov / math.sqrt(var_x) / math.sqrt(var_y)
     else:
         # float(var_x) * float(var_y) can underflow to 0, so the exact ratio
-        # cov^2 / (var_x var_y) is scaled by 4^-e before the root, 2^e after.
-        ratio = (cov / var_x) * (cov / var_y)
-        e = (ratio.numerator.bit_length() - ratio.denominator.bit_length()) // 2
-        corr = math.copysign(math.ldexp(math.sqrt(ratio / Fraction(4) ** e), e), cov)
+        # cov^2 / (var_x var_y), num / den from the carriers' integers, is
+        # scaled by 4^-e before the root, 2^e after. Both variances are
+        # positive, so n, m > 1 and all three values are carriers.
+        x, y, c = values[2:]
+        top, bottom = c * c, x * y
+        num, den = top.num * c.base**bottom.exp, bottom.num * c.base**top.exp
+        e = (num.bit_length() - den.bit_length()) // 2
+        num, den = (num, den << 2 * e) if e >= 0 else (num << -2 * e, den)
+        corr = math.copysign(math.ldexp(math.sqrt(num / den), e), cov)
     return MomentSummary(mode, mean_x, mean_y, var_x, var_y, cov, corr)
 
 

@@ -101,8 +101,9 @@ MUTANTS = [
      "float marginal PGF: q^(k+1) for q^k in the moment", PGF_TESTS),
     (PGF, "        if k > first:\n            powers", "        if k > first + 1:\n            powers",
      "closed form: the running product in k skips its first step", TOTALITY_TESTS),
-    (PGF, "b_pow[top - i - j] for w, i, j in terms", "b_pow[top - i - j - 1] for w, i, j in terms",
-     "_power_sum: a term padded by one power of b too few", TOTALITY_TESTS),
+    (PGF, "objects[j_o] * a_pow[x] * c_pow[y] * b_pow[top - x - y]",
+     "objects[j_o] * a_pow[x] * c_pow[y] * b_pow[top - x - y - 1]",
+     "non-edge conditional: a term padded by one power of b too few", TOTALITY_TESTS),
     (PGF, "(m - j) + (j - 1) * k + (n - i)", "(m - j) + j * k + (n - i)",
      "edge conditional: the tracked object's objects also avoid the marked vertices",
      TOTALITY_TESTS),
@@ -122,9 +123,9 @@ MUTANTS = [
     (CLI, "_power_past(params.p.denominator, cells, sys.get_int_max_str_digits())",
      "_power_past(params.p.denominator, cells - 1, sys.get_int_max_str_digits())",
      "pmf admission: the scale's digits bounded one power of den(p) short", CLI_TESTS),
-    (CLI, "- math.log2(digits * math.log2(10) + math.log2(divisor))",
-     "- math.log2(digits * math.log2(10))",
-     "_power_past: the divisor ignored by the log-space test", CLI_TESTS),
+    (CLI, "- math.log2(factor.numerator)\n              + math.log2(factor.denominator))",
+     "- math.log2(factor.numerator))",
+     "_power_past: the factor's denominator ignored by the log-space test", CLI_TESTS),
     (CLI, "        power *= power\n    powers.append(scale)", "        power *= power",
      "_law_cells: the last gcd against the whole scale dropped", TOTALITY_TESTS),
     (BIPARTITE, "z ^= np.right_shift(z, np.uint64(27), out=shifted)",
@@ -143,6 +144,10 @@ MUTANTS = [
     (CLI, _LAW_MEMO, _LAW_MEMO.replace("cells.get(c)", "cells.get(c.bit_length())")
      .replace("cells[c]", "cells[c.bit_length()]"),
      "_law_cells: the memo keyed by bit length, coarser than the count", CLI_TESTS),
+    (STATS, "+ other.num, other.exp, self.base)", "+ other.num, self.exp, self.base)",
+     "exact moments: a sum lifted to the larger exponent kept at the smaller", STATS_TESTS),
+    (PGF, "if lhs * table.scale != numerator * scale:", "if lhs != numerator:",
+     "edge-split sweep: numerators compared without cross-multiplying the scales", PGF_TESTS),
 ]
 
 

@@ -227,6 +227,13 @@ def test_criterion_11_performance():
     cli_elapsed = time.perf_counter() - start
     ok = ok and code == 0 and out.getvalue().startswith("a,b,") and cli_elapsed < 0.5
 
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = main(["scan", "--n", "3", "--m", "3", "--p-grid", "1/10000:1:1/10000"])
+    scan_elapsed = time.perf_counter() - start
+    ok = ok and code == 0 and out.getvalue().count("\n") == 10001 and scan_elapsed < 1.5
+
     start = time.perf_counter()
     big = ModelParams(500, 500, Fraction(1, 5))
     value = eval_joint_pgf(big, 0.97, 0.5, Mode.FLOAT)
@@ -260,7 +267,8 @@ def test_criterion_11_performance():
         "performance envelopes",
         ok,
         f"exact 40x40 pmf {exact_elapsed:.3f}s < 0.25s; "
-        f"CLI pmf 40x40 at 3/7 {cli_elapsed:.3f}s < 0.5s; float 500x500 {float_elapsed:.2f}s < 0.3s; "
+        f"CLI pmf 40x40 at 3/7 {cli_elapsed:.3f}s < 0.5s; "
+        f"CLI scan 3x3 at 10000 points {scan_elapsed:.2f}s < 1.5s; float 500x500 {float_elapsed:.2f}s < 0.3s; "
         f"float 700x700 at (0, 0.7) {edge_elapsed:.3f}s < 0.05s; "
         f"Monte Carlo 50x50 40000 trials {sample_elapsed:.2f}s < 0.5s; "
         f"edge-count correlation 20x20 40000 trials {corr_elapsed:.2f}s < 0.5s; "

@@ -933,7 +933,8 @@ class TestAdmission:
             assert f"var_y,{var.numerator}/{var.denominator},{cli._dec(var)}" in out.splitlines()
             assert "cov,0/1,0" in out.splitlines()
 
-    # Every grid point is within the means' digit bound; the whole grid is not.
+    # Every grid point is within the means' digit bound; the whole grid is not. Its work
+    # is 5.134e11 squared digits of powers plus 10000 points of cli.MOMENT_POINT_WORK.
     @pytest.mark.parametrize("n", [2, 500])
     def test_exact_scan_bounded_by_its_whole_grid(self, capsys, monkeypatch, n):
         monkeypatch.setattr(cli, "moments", must_not_run)
@@ -943,7 +944,7 @@ class TestAdmission:
         assert time.perf_counter() - start < 1
         assert (code, out) == (3, "")
         assert err == (
-            "error: exact moments need 5.13e+11 squared digits of den(p) powers "
+            "error: exact moments need 5.14e+11 squared digits of den(p) powers "
             "(summed over the grid in scan); capped at 2e+09\n"
         )
 

@@ -655,6 +655,15 @@ class TestRecombination:
             (4, 3, Fraction(1)),
             (1, 5, Fraction(0)),
             (5, 1, Fraction(1)),
+            (1, 4, Fraction(1)),
+            (4, 1, Fraction(0)),
+            # p near 0 and 1: each term's power of b pads a power of a or b - a of 1 or 999.
+            (3, 4, Fraction(1, 1000)),
+            (4, 3, Fraction(999, 1000)),
+            (1, 6, Fraction(1, 1000)),
+            (6, 1, Fraction(1, 1000)),
+            (1, 6, Fraction(999, 1000)),
+            (6, 1, Fraction(999, 1000)),
         ],
     )
     def test_all_orders(self, n, m, p):
@@ -663,6 +672,30 @@ class TestRecombination:
             for l in range(m):
                 lhs, rhs = recombination_check(table, k, l)
                 assert lhs == rhs
+        assert list(pgf.recombination_mismatches(table)) == []
+
+    @pytest.mark.parametrize(
+        "n,m,p,k,l",
+        [(3, 4, Fraction(2, 5), 2, 1), (4, 3, Fraction(1, 1000), 0, 2),
+         (1, 5, Fraction(999, 1000), 0, 3), (5, 1, Fraction(2, 5), 4, 0)],
+    )
+    def test_sweep_reports_an_off_by_one_numerator(self, n, m, p, k, l):
+        params = ModelParams(n, m, p)
+        table = moment_table(params)
+        numerators = [list(row) for row in table.numerators]
+        numerators[k][l] += 1
+        wrong = MomentTable(params, table.scale, tuple(map(tuple, numerators)))
+        assert list(pgf.recombination_mismatches(wrong)) == [
+            (k, l, table.entry(k, l), table.entry(k, l) + Fraction(1, table.scale))
+        ]
+
+    def test_sweep_compares_values_over_any_scale(self):
+        # the same table over 3 times its scale: every value is unchanged
+        params = ModelParams(3, 4, Fraction(2, 5))
+        table = moment_table(params)
+        tripled = tuple(tuple(3 * e for e in row) for row in table.numerators)
+        same = MomentTable(params, 3 * table.scale, tripled)
+        assert list(pgf.recombination_mismatches(same)) == []
 
 
 class TestExactPipelineProperties:
