@@ -66,7 +66,7 @@ MOMENT_POINT_WORK = 10**5
 
 # Most digits of den(p)^(n*m), the scale of every integer verify compares, that exact
 # verify may reach. On 2 vCPUs, at 2x11, 11x2, 1x22, 22x1, 4x5, 5x4, 3x7 and 4x4, verify
-# took 0.36-0.65 s at 11000 digits, 0.43-0.76 s at 16000 and 0.75-1.74 s at 22000.
+# took 0.06-0.21 s at 11000 digits, 0.10-0.27 s at 16000 and 0.22-0.68 s at 22000.
 MAX_VERIFY_DIGITS = 16_000
 
 # A decimal with an exponent, as Fraction() reads one.

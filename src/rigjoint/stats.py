@@ -73,11 +73,9 @@ class _Scaled:
     def __init__(self, num: int, exp: int, base: int):
         self.num, self.exp, self.base = num, exp, base
 
-    def _lift(self, other) -> "_Scaled":
-        return other if isinstance(other, _Scaled) else _Scaled(other, 0, self.base)
-
     def __add__(self, other) -> "_Scaled":
-        other = self._lift(other)
+        if not isinstance(other, _Scaled):
+            other = _Scaled(other, 0, self.base)
         shift = self.exp - other.exp
         if shift >= 0:
             return _Scaled(self.num + other.num * self.base**shift, self.exp, self.base)
@@ -92,14 +90,8 @@ class _Scaled:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "_Scaled":
-        return _Scaled(-self.num, self.exp, self.base)
-
     def __sub__(self, other) -> "_Scaled":
-        return self + -self._lift(other)
-
-    def __rsub__(self, other) -> "_Scaled":
-        return -self + other
+        return self + -1 * other
 
     def __pow__(self, e: int) -> "_Scaled":
         return _Scaled(self.num**e, self.exp * e, self.base)

@@ -970,15 +970,19 @@ class TestAdmission:
         assert code == 0 and "cov,," in out
 
     # Var X (Var Y) has denominator 7^5200, over 4300 digits, and so has cov in the scan;
-    # the means' denominators, 7^2600 and 7^6, are within the limit.
+    # the means' denominators, 7^2600 and 7^6, are within the limit. In the last two only
+    # a numerator passes it: Var Y's is 4302 digits over a 4300-digit denominator, and at
+    # n = 10^2200, m = 1, Var X is about n^2 / 16, a 4400-digit numerator over 16.
     @pytest.mark.parametrize(
         "argv",
         [
             ["moments", "--n", "3", "--m", "1300", "--p", "1/7"],
             ["moments", "--n", "1300", "--m", "3", "--p", "1/7", "--format", "json"],
             ["scan", "--n", "1300", "--m", "1300", "--p-grid", "1/7:1/7:1", "--format", "json"],
+            ["moments", "--n", "541", "--m", "500", "--p", "8/97"],
+            ["moments", "--n", str(10**2200), "--m", "1", "--p", "1/2"],
         ],
-        ids=["var_x", "var_y", "scan-cov"],
+        ids=["var_x", "var_y", "scan-cov", "numerator", "numerator-n-past-2200-digits"],
     )
     def test_exact_moment_digits_refused_before_work(self, capsys, monkeypatch, argv):
         monkeypatch.setattr(cli, "moments", must_not_run)
