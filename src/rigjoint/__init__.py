@@ -2,9 +2,7 @@
 random bipartite graph, with a seeded Monte Carlo cross-check."""
 
 from .bipartite import (
-    ENUMERATION_CAP,
     EmpiricalJointDistribution,
-    derive_trial_seed,
     empirical_joint,
     exhaustive_joint,
 )
@@ -44,7 +42,6 @@ from .stats import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ENUMERATION_CAP",
     "EmpiricalJointDistribution",
     "JointDegreeDistribution",
     "MarginalDistribution",
@@ -60,7 +57,6 @@ __all__ = [
     "cond_nonadjacency_given_edge",
     "cond_nonadjacency_given_nonedge",
     "default_independence_grid",
-    "derive_trial_seed",
     "edge_count_correlation",
     "empirical_joint",
     "eval_joint_pgf",

@@ -28,13 +28,16 @@ batch. The tallies are the same for any ``BATCH_BYTES`` and lane count.
 
 ``exhaustive_joint`` is the ground-truth oracle: it counts every one of the
 2^(n*m) adjacency tables exactly, row by row (a transfer-matrix count), by
-degree pair and edge count; each added row moves only the live states, those
-that hold a count. It weights each count by p^edges
-(1-p)^(non-edges) in integers over den(p)^(n*m), the scale the closed-form
-route uses too. Two guards make a miscount raise instead of passing quietly:
-the counts total 2^(n*m), and those with e edges total C(n*m, e). It uses
-no closed form and exists to validate the closed-form route; it is capped
-at n*m <= 22.
+degree pair and edge count. Each added row moves only the live states, those
+that hold a count, through one step table of 2^w x 4^w index moves, w the
+shorter side, so a row's largest arrays hold 2^w entries per live state, not
+per state of the grid. It weights each count by p^edges (1-p)^(non-edges) in integers over
+den(p)^(n*m), the scale the closed-form route uses too. Two guards make a
+miscount raise instead of passing quietly: the counts total 2^(n*m), and
+those with e edges total C(n*m, e). It uses no closed form and exists to
+validate the closed-form route. ``enumeration_refusal`` bounds it by its
+moves per row, 8^w * lines * (n*m + 1), and by n*m <= 62, where the int64
+counts still total 2^(n*m) without wrapping.
 
 The samplers and the enumeration are the only users of numpy here; each
 function that uses it or ``concurrent.futures`` imports it when called, so
@@ -52,10 +55,13 @@ from typing import Callable, Iterator
 from .exact import SizeCapError
 from .pgf import JointDegreeDistribution, ModelParams
 
-# Largest n*m that `verify` checks against enumeration; it bounds what `verify` promises, not
-# its cost. On 2 vCPUs the row-by-row count takes well under a second here, and a full (k, l)
-# sweep of the integer edge-split conditionals at most 0.004 s (n*m <= 22) and 0.021 s at 8x8.
-ENUMERATION_CAP = 22
+# Bounds of exhaustive_joint, and so of `verify` (``enumeration_refusal``). A row may gather
+# 8^w * lines * (n*m + 1) moves at most, with w the shorter side: 2^w per state of the grid, as
+# if every state were live. On 2 vCPUs the largest shapes admitted took, in-process, 5x10 0.17 s
+# and 52 MB (tracemalloc peak), 4x15 0.06 s and 16 MB, 3x20 0.014 s and 2x31 0.008 s; 6x6,
+# the first square refused, 0.22 s and 110 MB. Past 62 cells the int64 counts wrap.
+MAX_ENUMERATION_MOVES = 1 << 24
+MAX_ENUMERATION_CELLS = 62
 
 # Bytes of the largest array a Monte Carlo batch holds (768 KB). A batch
 # holds a few arrays about that size, and this keeps them in a 2 MB L2
@@ -87,13 +93,6 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
     z *= np.uint64(_MIX2)
     z ^= np.right_shift(z, np.uint64(31), out=shifted)
     return z
-
-
-def derive_trial_seed(seed: int, index: int) -> int:
-    """Seed for trial ``index`` of the stream rooted at the master ``seed``."""
-    if index < 0:
-        raise ValueError("trial index must be nonnegative")
-    return int(_trial_seeds(seed, index, 1)[0])
 
 
 def _edge_threshold(params: ModelParams) -> int:
@@ -246,10 +245,11 @@ def _degree_batch(params: ModelParams, seed: int, start: int, count: int) -> tup
 def empirical_joint(params: ModelParams, trials: int, seed: int) -> EmpiricalJointDistribution:
     """Tally the degree pair over ``trials`` seeded Monte Carlo realizations.
 
-    Trial i uses ``derive_trial_seed(seed, i)``, and edge (a, b) of a trial is
-    word a*m + b of its stream. A trial draws only the words its degree pair
-    reads: row 0, column 0, the columns of the objects in N(v0) and the rows
-    of the vertices in N(o0), about n + m + 2p*n*m words instead of n*m.
+    Trial i uses seed ``_trial_seeds(seed, i, 1)[0]``, and edge (a, b) of a
+    trial is word a*m + b of its stream. A trial draws only the words its
+    degree pair reads: row 0, column 0, the columns of the objects in N(v0)
+    and the rows of the vertices in N(o0), about n + m + 2p*n*m words instead
+    of n*m.
     Each word drawn is the one the full adjacency would hold, so the tallies
     equal those of whole sampled graphs and are the same for any
     ``BATCH_BYTES`` and lane count. A batch's largest array holds about
@@ -276,16 +276,20 @@ def empirical_joint(params: ModelParams, trials: int, seed: int) -> EmpiricalJoi
     return EmpiricalJointDistribution(table, trials, seed)
 
 
-def _add_line(state: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Counts after one more line: each line value r moves state i to targets[r, i].
+def _add_line(state: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Counts after one more line: line value r moves state i to i + step[r, i mod 4^w].
 
     Only live states, those holding a count, move; most states of the grid
     are unreachable or already empty, and moving their zeros changes nothing.
     """
     import numpy as np
-    live = np.flatnonzero(state)
-    moved = np.zeros_like(state)
-    np.add.at(moved, targets[:, live].ravel(), np.tile(state[live], len(targets)))
+    live = state.nonzero()[0]
+    moves = step[:, live & (step.shape[1] - 1)]
+    moves += live
+    moved = np.zeros(len(state), dtype=np.int64)
+    # tiled, not broadcast: numpy 2.4's add.at adds wrong values when a 1-D
+    # value array is broadcast over a 2-D index array
+    np.add.at(moved, moves.ravel(), np.tile(state[live], len(step)))
     return moved
 
 
@@ -298,28 +302,45 @@ def _line_counts(lines: int, width: int) -> np.ndarray:
     """
     import numpy as np
     size, cells = 1 << width, lines * width
-    shape = (size, lines, size, cells + 1)  # tracked line, x, covered, e
-    line, tracked, x, covered, e = np.ix_(np.arange(size), *map(np.arange, shape))
-    # targets[r] is the flat index each state moves to when the next line has
-    # bits r. States past the last x or e hold no count; clamping keeps their
-    # targets in range.
-    moved_x = np.minimum(x + ((tracked & line) != 0), lines - 1)
-    moved_covered = np.where(line & 1, covered | line, covered)
-    moved_e = np.minimum(e + np.bitwise_count(line), cells)
-    targets = ((tracked * lines + moved_x) * size + moved_covered) * (cells + 1) + moved_e
-    targets = targets.reshape(size, -1)
+    shape = (lines, cells + 1, size, size)  # x, e, tracked line, covered
+    # step[r, tracked * size + covered] is how far a state moves in the flat
+    # grid when the next line has bits r: x grows by one if the line meets the
+    # tracked line, covered takes r's bits if r has bit 0, and e grows by r's
+    # bit count. x and e stay in range, as lines - 1 lines are added.
+    line, tracked, covered = np.ix_(*[np.arange(size)] * 3)
+    step = ((((tracked & line) != 0) * (cells + 1) + np.bitwise_count(line)) * size * size
+            + np.where(line & 1, covered | line, covered) - covered).reshape(size, -1)
 
     values = np.arange(size)
     state = np.zeros(shape, dtype=np.int64)
-    state[values, 0, np.where(values & 1, values, 0), np.bitwise_count(values)] = 1
+    state[0, np.bitwise_count(values), values, np.where(values & 1, values, 0)] = 1
     state = state.ravel()
     for _ in range(lines - 1):
-        state = _add_line(state, targets)
+        state = _add_line(state, step)
 
-    by_covered = state.reshape(shape).sum(axis=0)
+    by_covered = state.reshape(shape).sum(axis=2).transpose(0, 2, 1)
     counts = np.zeros((lines, width, cells + 1), dtype=np.int64)
     np.add.at(counts, (slice(None), np.bitwise_count(values & ~1)), by_covered)
     return counts
+
+
+def enumeration_refusal(n: int, m: int) -> SizeCapError | None:
+    """Why ``exhaustive_joint`` refuses an n x m model, or None where it admits it.
+
+    n*m <= ``MAX_ENUMERATION_CELLS``, checked first so that the shorter side w
+    is small, and 8^w * lines * (n*m + 1) <= ``MAX_ENUMERATION_MOVES``, the
+    most moves a row can gather.
+    """
+    cells = n * m
+    if cells > MAX_ENUMERATION_CELLS:
+        return SizeCapError(f"enumeration needs n*m <= {MAX_ENUMERATION_CELLS}")
+    moves = 8 ** min(n, m) * max(n, m) * (cells + 1)
+    if moves > MAX_ENUMERATION_MOVES:
+        return SizeCapError(
+            f"enumeration needs 8^min(n,m) * max(n,m) * (n*m+1) <= {MAX_ENUMERATION_MOVES} "
+            f"moves a row, got {moves}"
+        )
+    return None
 
 
 def exhaustive_joint(params: ModelParams) -> JointDegreeDistribution:
@@ -335,14 +356,16 @@ def exhaustive_joint(params: ModelParams) -> JointDegreeDistribution:
 
     Lines are rows. Transposing a table keeps its edge count and swaps
     vertices with objects and X with Y, so when m > n the lines are columns
-    and the result is transposed: a line is then at most 4 bits wide under
-    ENUMERATION_CAP. The tracked pair is (vertex 0, object 0); by
-    exchangeability any other pair has the same law.
+    and the result is transposed: a line is the shorter side, at most 5 bits
+    wide under ``enumeration_refusal``, which raises SizeCapError past it. The
+    tracked pair is (vertex 0, object 0); by exchangeability any other pair
+    has the same law.
     """
     n, m = params.n, params.m
     nm = n * m
-    if nm > ENUMERATION_CAP:
-        raise SizeCapError(f"enumeration needs n*m <= {ENUMERATION_CAP}, got {nm}")
+    refusal = enumeration_refusal(n, m)
+    if refusal:
+        raise refusal
 
     if m > n:
         counts = _line_counts(m, n).transpose(1, 0, 2)

@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import pgf
-from .bipartite import ENUMERATION_CAP, empirical_joint, exhaustive_joint, sample_words
+from .bipartite import empirical_joint, enumeration_refusal, exhaustive_joint, sample_words
 from .exact import Mode, SizeCapError, parse_probability
 from .pgf import ModelParams, Side, joint_pmf, marginal_pmf
 from .stats import chi_square, moments, tv_distance
@@ -65,8 +65,9 @@ MAX_MOMENT_WORK = 2 * 10**9
 MOMENT_POINT_WORK = 10**5
 
 # Most digits of den(p)^(n*m), the scale of every integer verify compares, that exact
-# verify may reach. On 2 vCPUs, at 2x11, 11x2, 1x22, 22x1, 4x5, 5x4, 3x7 and 4x4, verify
-# took 0.06-0.21 s at 11000 digits, 0.10-0.27 s at 16000 and 0.22-0.68 s at 22000.
+# verify may reach. On 2 vCPUs, in-process, min of 3, verify took 0.11-0.18 s just below
+# 16000 digits at 2x11, 11x2, 1x22, 22x1, 4x5, 5x4, 3x7 and 4x4, and 0.39-0.92 s at 5x10,
+# 4x15, 3x20, 2x31 and 1x62 and their transposes, at p = 1/(10^d - 1) and p near 1/2.
 MAX_VERIFY_DIGITS = 16_000
 
 # A decimal with an exponent, as Fraction() reads one.
@@ -494,10 +495,12 @@ def _admit(args) -> dict:
             return {"params": params, "fit": refusal is None}
         if refusal:
             raise refusal
-    if command == "verify" and n * m > ENUMERATION_CAP:
-        raise SizeCapError(f"verify enumerates all graphs and needs n*m <= {ENUMERATION_CAP}")
-    if command == "verify" and _power_past(params.p.denominator, n * m, MAX_VERIFY_DIGITS):
-        raise SizeCapError(f"verify needs den(p)^(n*m) below 10^{MAX_VERIFY_DIGITS}")
+    if command == "verify":
+        refusal = enumeration_refusal(n, m)
+        if refusal:
+            raise refusal
+        if _power_past(params.p.denominator, n * m, MAX_VERIFY_DIGITS):
+            raise SizeCapError(f"verify needs den(p)^(n*m) below 10^{MAX_VERIFY_DIGITS}")
     if command in ("moments", "scan") and mode is Mode.FLOAT:
         # the closed forms multiply n-1, n-2 and m-1 into doubles, as (n-1)((n-2) x) and
         # (n-1)((m-1) x) with 0 <= x <= 1, and each product is at most a variance or the

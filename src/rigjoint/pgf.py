@@ -230,41 +230,45 @@ def _powers(base: int, top: int) -> list:
 class _EdgeSplit:
     """The edge-split conditionals of one model, as integers over powers of b = den(p).
 
-    With p = a/b and c = b - a, a term w p^i (1-p)^j of a conditional is
-    w a^i c^j b^(T-i-j) over b^T, T = n*m - 1: the term fixes the state of
-    i + j distinct edges other than the tracked one, so i + j <= T, and each
-    conditional is one integer over b^T. The powers of a, c and b up to T and
-    the binomial rows are built once per model and shared by every (k, l).
-    Every sum runs term by term and shares no formula with ``_closed_form``,
-    so the two stay independent routes to N[k][l].
+    With p = a/b and c = b - a, a term w p^x (1-p)^y of a conditional is
+    w a^x c^y b^(T-x-y) over b^T, T = n*m - 1: the term fixes the state of
+    x + y distinct edges other than the tracked one, so x + y <= T, and each
+    conditional is one integer over b^T. Every term of both sums has
+    x <= n + m - 2 <= x + y, so ``power[x][y]`` = a^x c^y b^(T-x-y) is tabled
+    over that range, once per model with the binomial rows, and shared by
+    every (k, l): a term costs one product of a big and a small integer. The
+    entries left of the range are 0 and never read. Every sum runs term by
+    term and shares no formula with ``_closed_form``, so the two stay
+    independent routes to N[k][l].
     """
 
     def __init__(self, params: ModelParams):
         self.n, self.m = params.n, params.m
         self.a, self.b = params.p.numerator, params.p.denominator
-        self.top = self.n * self.m - 1
-        self.a_pow, self.c_pow, self.b_pow = (
-            _powers(base, self.top) for base in (self.a, self.b - self.a, self.b)
-        )
+        self.top = top = self.n * self.m - 1
+        a_pow, c_pow, b_pow = (_powers(base, top) for base in (self.a, self.b - self.a, self.b))
+        self.b_pow = b_pow
+        least = self.n + self.m - 2
+        self.power = [[0] * (least - x) + [a_pow[x] * c_pow[y] * b_pow[top - x - y]
+                                           for y in range(least - x, top - x + 1)]
+                      for x in range(least + 1)]
         sizes = range(max(self.n, self.m))
         self.rows = [[comb(size, r) for r in range(size + 1)] for size in sizes]
 
     def edge(self, k: int, l: int) -> int:
         """Numerator of ``cond_nonadjacency_given_edge`` over b^T."""
-        n, m, top, rows = self.n, self.m, self.top, self.rows
-        a_pow, c_pow, b_pow = self.a_pow, self.c_pow, self.b_pow
+        n, m, power, rows = self.n, self.m, self.power, self.rows
         objects, vertices = rows[m - 1 - l], rows[n - 1 - k]
         total = 0
         for i in range(1, n - k + 1):
             for j in range(1, m - l + 1):
                 x, y = i + j - 2, (m - j) + (j - 1) * k + (n - i) + (i - 1) * l
-                total += vertices[i - 1] * objects[j - 1] * a_pow[x] * c_pow[y] * b_pow[top - x - y]
+                total += vertices[i - 1] * objects[j - 1] * power[x][y]
         return total
 
     def nonedge(self, k: int, l: int) -> int:
         """Numerator of ``cond_nonadjacency_given_nonedge`` over b^T."""
-        n, m, top, rows = self.n, self.m, self.top, self.rows
-        a_pow, c_pow, b_pow = self.a_pow, self.c_pow, self.b_pow
+        n, m, power, rows = self.n, self.m, self.power, self.rows
         objects, marked_objects = rows[m - 1 - l], rows[l]
         vertices, marked_vertices = rows[n - 1 - k], rows[k]
         total = 0
@@ -276,7 +280,7 @@ class _EdgeSplit:
                         x = j_o + j_s + i_o + i_s
                         y = ((m - 1 - j_o - j_s) + (n - 1 - i_o - i_s)
                              + (j_o + j_s) * k + (i_o + i_s) * l - i_s * j_s)
-                        total += w * objects[j_o] * a_pow[x] * c_pow[y] * b_pow[top - x - y]
+                        total += w * objects[j_o] * power[x][y]
         return total
 
     def recombined(self, k: int, l: int) -> int:

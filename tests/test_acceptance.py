@@ -12,7 +12,6 @@ from fractions import Fraction
 import scipy.stats
 
 from rigjoint import (
-    ENUMERATION_CAP,
     Mode,
     ModelParams,
     Side,
@@ -81,33 +80,36 @@ def test_criterion_04_transform_identity():
     # Exact F is read off the moment table, so it is compared with routes that
     # do not go through the table: (i) the polynomial of the sieved pmf,
     # (ii) the polynomial of the enumerated pmf, and (iii) the transform of the
-    # moments rebuilt from the edge-split conditionals.
+    # moments rebuilt from the edge-split conditionals. The enumeration runs up
+    # to 22 cells on the grid, and on four thin shapes of up to 62 cells.
     rnd = random.Random(2024)
     nonzero = [v for v in range(-9, 10) if v != 0]
     p_cycle = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 5)]
+    thin = {(3, 20): Fraction(0), (20, 3): Fraction(1), (4, 15): Fraction(3, 7),
+            (2, 31): Fraction(1, 2)}
     ok = True
-    for n in range(1, 13):
-        for m in range(1, 13):
-            params = ModelParams(n, m, p_cycle[(n + m) % 3])
-            polynomials = [joint_pmf(params).pmf]
-            if n * m <= ENUMERATION_CAP:
-                polynomials.append(exhaustive_joint(params).pmf)
-            rebuilt = None
-            if n <= 6 and m <= 6:
-                table = moment_table(params)
-                rebuilt = [
-                    [recombination_check(table, k, l)[0] for l in range(m)] for k in range(n)
-                ]
-            for _ in range(20):
-                x = Fraction(rnd.choice(nonzero), rnd.randint(1, 6))
-                y = Fraction(rnd.choice(nonzero), rnd.randint(1, 6))
-                value = eval_joint_pgf(params, x, y)
-                ok = ok and all(value == reference.pgf_from_pmf(pmf, x, y) for pmf in polynomials)
-                ok = ok and (rebuilt is None or value == reference.pgf_from_moments(rebuilt, x, y))
+    shapes = [(n, m, p_cycle[(n + m) % 3]) for n in range(1, 13) for m in range(1, 13)]
+    for n, m, p in shapes + [(n, m, p) for (n, m), p in thin.items()]:
+        params = ModelParams(n, m, p)
+        polynomials = [joint_pmf(params).pmf]
+        if n * m <= 22 or (n, m) in thin:
+            polynomials.append(exhaustive_joint(params).pmf)
+        rebuilt = None
+        if n <= 6 and m <= 6:
+            table = moment_table(params)
+            rebuilt = [
+                [recombination_check(table, k, l)[0] for l in range(m)] for k in range(n)
+            ]
+        for _ in range(20):
+            x = Fraction(rnd.choice(nonzero), rnd.randint(1, 6))
+            y = Fraction(rnd.choice(nonzero), rnd.randint(1, 6))
+            value = eval_joint_pgf(params, x, y)
+            ok = ok and all(value == reference.pgf_from_pmf(pmf, x, y) for pmf in polynomials)
+            ok = ok and (rebuilt is None or value == reference.pgf_from_moments(rebuilt, x, y))
     _report(
         4,
         "PGF equals the sieved and enumerated pmf polynomials and the edge-split "
-        "transform at 20 random points (n,m <= 12)",
+        "transform at 20 random points (n,m <= 12; 3x20, 20x3, 4x15, 2x31)",
         ok,
     )
 

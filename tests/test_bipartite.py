@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,6 @@ from rigjoint import (
     EmpiricalJointDistribution,
     ModelParams,
     SizeCapError,
-    derive_trial_seed,
     empirical_joint,
     exhaustive_joint,
     joint_pmf,
@@ -123,11 +123,8 @@ class TestTrialSeeds:
         cases = [(0, 0), (-1, 0), (11, 399), (-(2**70), 5), (3, 2**64), (2**64 - 1, 2**66 + 9)]
         cases += [(rng.randrange(-(2**80), 2**80), rng.randrange(2**70)) for _ in range(200)]
         for seed, index in cases:
-            assert derive_trial_seed(seed, index) == reference.trial_seed(seed, index), (seed, index)
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            derive_trial_seed(0, -1)
+            got = int(bipartite._trial_seeds(seed, index, 1)[0])
+            assert got == reference.trial_seed(seed, index), (seed, index)
 
 
 class TestEmpiricalJoint:
@@ -314,24 +311,38 @@ class TestExhaustiveJoint:
                 assert reference.law_as_table(law, n, m) == base
 
     def test_size_cap(self):
-        with pytest.raises(SizeCapError):
-            exhaustive_joint(ModelParams(5, 5, HALF))
+        # 6x6 would gather 8^6 * 6 * 37 moves a row; 2x32 has more than 62 cells
+        with pytest.raises(SizeCapError, match="moves a row"):
+            exhaustive_joint(ModelParams(6, 6, HALF))
+        with pytest.raises(SizeCapError, match="n\\*m <= 62"):
+            exhaustive_joint(ModelParams(2, 32, HALF))
+
+    def test_memory_peak(self):
+        # a row holds 2^w moves per live state, never 2^w per state of the grid
+        tracemalloc.start()
+        try:
+            exhaustive_joint(ModelParams(5, 4, Fraction(2, 5)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, peak
 
     @pytest.mark.parametrize(
         "wrong_line, guard",
         [
             # forgets the line with every bit set: too few tables
-            (lambda targets: targets[:-1], "tables, not 2"),
+            (lambda step: step[:-1], "tables, not 2"),
             # counts the line with bit 0 alone as the empty line: right total,
             # wrong edge counts
-            (lambda targets: targets[[0, 0, *range(2, len(targets))]], "edges, not C"),
+            (lambda step: step[[0, 0, *range(2, len(step))]], "edges, not C"),
         ],
     )
     @pytest.mark.parametrize("n,m", [(3, 2), (2, 3)])
     def test_counting_guards(self, monkeypatch, wrong_line, guard, n, m):
+        # each added line moves the states by one row of the step table per line value
         original = bipartite._add_line
         monkeypatch.setattr(
-            bipartite, "_add_line", lambda state, targets: original(state, wrong_line(targets))
+            bipartite, "_add_line", lambda state, step: original(state, wrong_line(step))
         )
         with pytest.raises(ValueError, match=guard):
             exhaustive_joint(ModelParams(n, m, HALF))

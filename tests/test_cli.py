@@ -602,9 +602,13 @@ class TestVerifyCommand:
         assert "pgf_transform_identity,PASS" in lines
         assert "FAIL" not in out
 
-    def test_size_cap(self, capsys):
-        code, _, err = run(capsys, ["verify", "--n", "5", "--m", "5", "--p", "1/2"])
-        assert code == 3
+    def test_size_cap(self, capsys, monkeypatch):
+        # 6x6 would gather 8^6 * 6 * 37 moves a row, 1x63 has more than 62 cells
+        monkeypatch.setattr(cli, "exhaustive_joint", must_not_run)
+        for n, m in [(6, 6), (1, 63)]:
+            code, out, err = run(capsys, ["verify", "--n", str(n), "--m", str(m), "--p", "1/2"])
+            assert (code, out) == (3, ""), (n, m)
+            assert err.startswith("error: enumeration needs ") and err.count("\n") == 1, err
 
     def test_refuses_float_mode(self, capsys):
         code, _, _ = run(
@@ -749,10 +753,12 @@ class TestVerifyCommand:
 class TestVerifyDigitBound:
     """``verify`` refuses den(p)^(n*m) >= 10^MAX_VERIFY_DIGITS before it enumerates."""
 
-    # 10^16000 three ways, and 7^18940 > 10^16006
-    PAST = [(2, 8, "1e-1000"), (16, 1, "1e-1000"), (1, 1, "1e-16000"), (4, 5, f"1/{7**947}")]
-    # 10^15984, 10^15999 and 7^18920 < 10^15990
-    WITHIN = [(2, 8, "1e-999"), (1, 1, "1e-15999"), (4, 5, f"1/{7**946}")]
+    # 10^16000 three ways, 7^18940 > 10^16006, and past 22 cells 10^16058 and 10^16000
+    PAST = [(2, 8, "1e-1000"), (16, 1, "1e-1000"), (1, 1, "1e-16000"), (4, 5, f"1/{7**947}"),
+            (2, 31, "1e-259"), (4, 15, "1e-267")]
+    # 10^15984, 10^15999, 7^18920 < 10^15990, and past 22 cells 10^15996 and 10^15960
+    WITHIN = [(2, 8, "1e-999"), (1, 1, "1e-15999"), (4, 5, f"1/{7**946}"),
+              (2, 31, "1e-258"), (4, 15, "1e-266")]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("n,m,p", PAST)

@@ -2,10 +2,11 @@
 
 Each invocation exits 0, 1, 2 or 3 without a traceback, in under 2 s, and a
 refusal prints nothing on stdout and exactly one line on stderr. The grid
-holds n, m in SIZES, p in PROBABILITIES, both modes and both formats, and
-simulate with 1 and 100 trials. The shapes with a side in WORKING_SIZES do
-real work (about 9 s together on 2 vCPUs, against 1 s for the rest), so they
-run only with RIGJOINT_TOTALITY=full, which CI's "Totality grid" step sets.
+holds n, m in SIZES and the shapes 2x31 and 2x32, p in PROBABILITIES, both
+modes and both formats, and simulate with 1 and 100 trials. The shapes with a
+side in WORKING_SIZES, and 2x31, do real work (about 10 s together on 2
+vCPUs, against 1 s for the rest), so they run only with
+RIGJOINT_TOTALITY=full, which CI's "Totality grid" step sets.
 
 An operation on one big integer does not yield to a signal, so an input the
 CLI fails to bound shows up as a hang here: to find it, run the grid one
@@ -25,6 +26,7 @@ PROBABILITIES = [
     "0", "1", "1/2", "0.000001", "1e-300", "1e-3000", "1/" + "7" * 200, "1e-10000000",
 ]
 FULL = os.environ.get("RIGJOINT_TOTALITY") == "full"
+FULL_ONLY = pytest.mark.skipif(not FULL, reason="set RIGJOINT_TOTALITY=full")
 
 
 def invocations(n, m):
@@ -45,15 +47,13 @@ def label(size):
 
 SHAPES = [
     pytest.param(
-        n, m,
-        id=f"{label(n)}x{label(m)}",
-        marks=pytest.mark.skipif(
-            not FULL and bool({n, m} & WORKING_SIZES), reason="set RIGJOINT_TOTALITY=full"
-        ),
+        n, m, id=f"{label(n)}x{label(m)}", marks=[FULL_ONLY] if {n, m} & WORKING_SIZES else []
     )
     for n in SIZES
     for m in SIZES
 ]
+# past 22 cells: the last 2-wide shape that verify enumerates, and the first it refuses
+SHAPES += [pytest.param(2, 31, id="2x31", marks=FULL_ONLY), pytest.param(2, 32, id="2x32")]
 
 
 @pytest.mark.parametrize("n,m", SHAPES)
