@@ -753,7 +753,7 @@ class TestVerifyCommand:
 class TestVerifyDigitBound:
     """``verify`` refuses den(p)^(n*m) >= 10^MAX_VERIFY_DIGITS before it enumerates."""
 
-    # 10^16000 three ways, 7^18940 > 10^16006, and past 22 cells 10^16058 and 10^16000
+    # 10^16000 three ways, 7^18940 > 10^16006, and past 22 cells 10^16058 and 10^16020
     PAST = [(2, 8, "1e-1000"), (16, 1, "1e-1000"), (1, 1, "1e-16000"), (4, 5, f"1/{7**947}"),
             (2, 31, "1e-259"), (4, 15, "1e-267")]
     # 10^15984, 10^15999, 7^18920 < 10^15990, and past 22 cells 10^15996 and 10^15960
