@@ -26,7 +26,6 @@ from .pgf import (
     joint_pmf,
     marginal_pmf,
     moment_table,
-    recombination_check,
     sieve_invert,
 )
 from .stats import (
@@ -68,7 +67,6 @@ __all__ = [
     "moment_table",
     "moments",
     "parse_probability",
-    "recombination_check",
     "sieve_invert",
     "tv_distance",
 ]

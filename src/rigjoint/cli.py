@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import pgf
 from .bipartite import empirical_joint, enumeration_refusal, exhaustive_joint, sample_words
-from .exact import Mode, SizeCapError, parse_probability
+from .exact import Mode, SizeCapError, _dec, _shown, parse_probability
 from .pgf import ModelParams, Side, joint_pmf, marginal_pmf
 from .stats import chi_square, moments, tv_distance
 
@@ -76,9 +76,6 @@ _EXPONENT = re.compile(
     re.IGNORECASE,
 )
 
-# Magnitudes from here on round past the largest double, (2^53 - 1) 2^971.
-_PAST_DOUBLE = 2**1024 - 2**970
-
 # Fixed rational probes at which verify compares the joint PGF with the
 # enumerated pmf's polynomial.
 _VERIFY_POINTS = [
@@ -88,25 +85,6 @@ _VERIFY_POINTS = [
     (Fraction(1, 3), Fraction(1, 3)),
     (Fraction(5, 2), Fraction(9, 7)),
 ]
-
-
-def _dec(value) -> str:
-    """A number to 17 significant digits as "%.17g" prints it; a word such as "undefined" as it is.
-
-    A value that rounds to a finite double prints as that double does: 1/3 as
-    0.33333333333333331, not its own 17-digit rounding. Past the doubles, where
-    float() raises, only an integer arrives (``_admit`` leaves den(p) = 1 there),
-    rounded half to even.
-    """
-    if isinstance(value, str):
-        return value
-    try:
-        return f"{float(value):.17g}"
-    except OverflowError:  # float() of an int or Fraction raises from _PAST_DOUBLE on
-        pass
-    from decimal import Decimal  # exact for any int, and not loaded at start-up
-    mantissa, exponent = format(Decimal(int(value)), ".17g").split("e")
-    return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
 
 
 def _too_many_digits() -> SizeCapError:
@@ -348,19 +326,34 @@ def _formula_check(name: str, mismatches) -> tuple:
     return name, "PASS" if first is None else "FAIL"
 
 
+def _cell_mismatches(cell: str, names: tuple, left: tuple, right: tuple):
+    """Describe each cell where two tables differ: "(cell) = (i,j): name value, name value".
+
+    ``left`` and ``right`` are (rows, scale) pairs, compared cell by cell by
+    cross-multiplication. Fractions are formed, and shown by ``_shown``, only
+    for a mismatch.
+    """
+    (rows, scale), (other_rows, other_scale) = left, right
+    for i, (row, other_row) in enumerate(zip(rows, other_rows)):
+        for j, (c, d) in enumerate(zip(row, other_row)):
+            if c * other_scale != d * scale:
+                yield (f"({cell}) = ({i},{j}): {names[0]} {_shown(Fraction(c, scale))}, "
+                       f"{names[1]} {_shown(Fraction(d, other_scale))}")
+
+
 def cmd_verify(args, params: ModelParams) -> int:
     """Check the closed forms against enumeration, on one moment table per invocation.
 
     The table is built when a check first reads it, through ``pgf.moment_table``
     as it is looked up then; a table that raises ValueError fails each check
-    that reads it, with the same message. ``enumeration_vs_formula`` sieves it.
+    that reads it, with the same message. ``enumeration_vs_formula`` compares
+    its sieved law with the enumerated one, and ``edge_split_recombination``
+    it with ``pgf.edge_split_table``, both cell by cell (``_cell_mismatches``).
     ``pgf_transform_identity`` compares in integers: at each probe point the
     enumerated polynomial is one integer over scale * den(x)^(n-1) *
-    den(y)^(m-1), cross-multiplied with the table's F, and Fractions are formed
-    only to report a mismatch. ``edge_split_recombination`` rebuilds each
-    N[k][l] from the conditionals and cross-multiplies it with the table's
-    numerator (``pgf.recombination_mismatches``), so all three checks test the
-    table that ``pmf`` sieves.
+    den(y)^(m-1), cross-multiplied with the table's F, and Fractions are
+    formed only to report a mismatch. So all three checks test the table that
+    ``pmf`` sieves.
     """
     n, m = params.n, params.m
     oracle = exhaustive_joint(params)
@@ -370,18 +363,14 @@ def cmd_verify(args, params: ModelParams) -> int:
         return pgf.moment_table(params)
 
     def formula_mismatches():
-        formula = pgf.sieve_invert(table())
-        for a in range(n):
-            for b in range(m):
-                if formula.counts[a][b] * oracle.scale != oracle.counts[a][b] * formula.scale:
-                    yield (
-                        f"(a,b) = ({a},{b}): formula {formula.prob(a, b)}, "
-                        f"enumeration {oracle.prob(a, b)}"
-                    )
+        law = pgf.sieve_invert(table())
+        return _cell_mismatches("a,b", ("formula", "enumeration"),
+                                (law.counts, law.scale), (oracle.counts, oracle.scale))
 
-    def recombination_mismatches():
-        for k, l, lhs, rhs in pgf.recombination_mismatches(table()):
-            yield f"(k,l) = ({k},{l}): edge split {lhs}, closed form {rhs}"
+    def edge_split_mismatches():
+        split, closed = pgf.edge_split_table(params), table()
+        return _cell_mismatches("k,l", ("edge split", "closed form"),
+                                (split.numerators, split.scale), (closed.numerators, closed.scale))
 
     def transform_mismatches():
         for x, y in _VERIFY_POINTS:
@@ -395,11 +384,12 @@ def cmd_verify(args, params: ModelParams) -> int:
             denominator = oracle.scale * x.denominator ** (n - 1) * y.denominator ** (m - 1)
             if value.numerator * denominator != numerator * value.denominator:
                 polynomial = Fraction(numerator, denominator)
-                yield f"(x,y) = ({x},{y}): PGF {value}, enumerated polynomial {polynomial}"
+                yield (f"(x,y) = ({x},{y}): PGF {_shown(value)}, "
+                       f"enumerated polynomial {_shown(polynomial)}")
 
     checks = [
         _formula_check("enumeration_vs_formula", formula_mismatches),
-        _formula_check("edge_split_recombination", recombination_mismatches),
+        _formula_check("edge_split_recombination", edge_split_mismatches),
         _formula_check("pgf_transform_identity", transform_mismatches),
     ]
 

@@ -1,4 +1,4 @@
-"""Exact-arithmetic substrate: probability parsing and the exact/float switch.
+"""Exact-arithmetic substrate: probability parsing, the exact/float switch, message text.
 
 Every probability computation in this package runs entirely in one arithmetic
 mode: exact or double precision (``float``). Exact mode is the default and the
@@ -57,3 +57,30 @@ def as_scalar(value: Scalar, mode: Mode) -> Scalar:
             raise TypeError("float input rejected in exact mode; pass a Fraction or int")
         return Fraction(value)
     return float(value)
+
+
+def _dec(value) -> str:
+    """A number to 17 significant digits as "%.17g" prints it; a word such as "undefined" as it is.
+
+    A value that rounds to a finite double prints as that double does: 1/3 as
+    0.33333333333333331, not its own 17-digit rounding. Past the doubles, where
+    float() raises, the value's integer part is rounded half to even; the CLI
+    prints only integers there (``cli._admit`` leaves den(p) = 1).
+    """
+    if isinstance(value, str):
+        return value
+    try:
+        return f"{float(value):.17g}"
+    except OverflowError:  # float() raises from 2^1024 - 2^970 on, past (2^53 - 1) 2^971
+        pass
+    from decimal import Decimal  # exact for any int, and not loaded at start-up
+    mantissa, exponent = format(Decimal(int(value)), ".17g").split("e")
+    return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
+
+
+def _shown(value) -> str:
+    """str(value) for a message, or ``_dec(value)`` where str() passes Python's int-to-str limit."""
+    try:
+        return str(value)
+    except ValueError:  # str(int) raises only at the limit, a process-wide setting
+        return _dec(value)

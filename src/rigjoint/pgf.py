@@ -35,11 +35,12 @@ results as integer ``counts`` over that ``scale``, with ``.pmf`` a Fraction
 view built on first access. The marginal moments are the closed form's edge
 column N[k][0] (column 0 of the transposed model for the passive side), born
 over the same denominator; each edge-split conditional sums its terms as one
-integer over b^(n*m-1) (``_EdgeSplit``), so ``verify`` compares the edge split
-with the table by cross-multiplying integers, and exact PGFs are integer dot
-products with the basis u or v. The transform cancels catastrophically in
-floating point, so there is no float pmf: float mode here covers PGF point
-evaluation (``eval_joint_pgf``, ``eval_marginal_pgf``).
+integer over b^(n*m-1) (``_EdgeSplit``), and ``edge_split_table`` rebuilds
+the whole table from them over b^(n*m), so ``verify`` compares two tables by
+cross-multiplying integers; exact PGFs are integer dot products with the
+basis u or v. The transform cancels catastrophically in floating point, so
+there is no float pmf: float mode here covers PGF point evaluation
+(``eval_joint_pgf``, ``eval_marginal_pgf``).
 
 The float joint PGF sums the closed form's triple sum in numpy without
 forming the table (``_eval_joint_float``). Its binomial weights, u(x), v(y)
@@ -70,10 +71,10 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb
 
-from .exact import Mode, Scalar, as_scalar
+from .exact import Mode, Scalar, _shown, as_scalar
 
 # l values per block of the float joint PGF. Larger blocks mean fewer Horner
 # passes over k, hence fewer numpy calls; smaller ones mean less padding above
@@ -142,7 +143,7 @@ class MomentTable:
         if any(e < 0 for row in self.numerators for e in row):
             raise ValueError("moment entries must be nonnegative")
         if self.numerators[0][0] != self.scale:
-            raise ValueError(f"entry (0,0) must equal 1, got {self.entry(0, 0)}")
+            raise ValueError(f"entry (0,0) must equal 1, got {_shown(self.entry(0, 0))}")
 
     def entry(self, k: int, l: int) -> Fraction:
         return Fraction(self.numerators[k][l], self.scale)
@@ -233,13 +234,13 @@ class _EdgeSplit:
     With p = a/b and c = b - a, a term w p^x (1-p)^y of a conditional is
     w a^x c^y b^(T-x-y) over b^T, T = n*m - 1: the term fixes the state of
     x + y distinct edges other than the tracked one, so x + y <= T, and each
-    conditional is one integer over b^T. Every term of both sums has
-    x <= n + m - 2 <= x + y, so ``power[x][y]`` = a^x c^y b^(T-x-y) is tabled
-    over that range, once per model with the binomial rows, and shared by
-    every (k, l): a term costs one product of a big and a small integer. The
-    entries left of the range are 0 and never read. Every sum runs term by
-    term and shares no formula with ``_closed_form``, so the two stay
-    independent routes to N[k][l].
+    conditional is one integer over b^T. ``power(x, y)`` = a^x c^y b^(T-x-y)
+    is formed on first use and kept, with the binomial rows, for every (k, l)
+    of the model: a single conditional forms only its own terms' powers, a
+    sweep over the table forms each power once, and a term costs one product
+    of a big and a small integer. Every sum runs term by term and shares no
+    formula with ``_closed_form``, so the two stay independent routes to
+    N[k][l].
     """
 
     def __init__(self, params: ModelParams):
@@ -248,10 +249,7 @@ class _EdgeSplit:
         self.top = top = self.n * self.m - 1
         a_pow, c_pow, b_pow = (_powers(base, top) for base in (self.a, self.b - self.a, self.b))
         self.b_pow = b_pow
-        least = self.n + self.m - 2
-        self.power = [[0] * (least - x) + [a_pow[x] * c_pow[y] * b_pow[top - x - y]
-                                           for y in range(least - x, top - x + 1)]
-                      for x in range(least + 1)]
+        self.power = cache(lambda x, y: a_pow[x] * c_pow[y] * b_pow[top - x - y])
         sizes = range(max(self.n, self.m))
         self.rows = [[comb(size, r) for r in range(size + 1)] for size in sizes]
 
@@ -263,7 +261,7 @@ class _EdgeSplit:
         for i in range(1, n - k + 1):
             for j in range(1, m - l + 1):
                 x, y = i + j - 2, (m - j) + (j - 1) * k + (n - i) + (i - 1) * l
-                total += vertices[i - 1] * objects[j - 1] * power[x][y]
+                total += vertices[i - 1] * objects[j - 1] * power(x, y)
         return total
 
     def nonedge(self, k: int, l: int) -> int:
@@ -280,7 +278,7 @@ class _EdgeSplit:
                         x = j_o + j_s + i_o + i_s
                         y = ((m - 1 - j_o - j_s) + (n - 1 - i_o - i_s)
                              + (j_o + j_s) * k + (i_o + i_s) * l - i_s * j_s)
-                        total += w * objects[j_o] * power[x][y]
+                        total += w * objects[j_o] * power(x, y)
         return total
 
     def recombined(self, k: int, l: int) -> int:
@@ -585,32 +583,17 @@ def marginal_pmf(params: ModelParams, side: Side) -> MarginalDistribution:
     return MarginalDistribution(side, scale, tuple(_sieve(column))[::-1])
 
 
-def recombination_check(table: MomentTable, k: int, l: int) -> tuple:
-    """Rebuild N[k][l] from the edge/non-edge conditionals; return (lhs, rhs).
+def edge_split_table(params: ModelParams) -> MomentTable:
+    """The falling-moment table rebuilt from the edge/non-edge conditionals.
 
-    lhs multiplies the subset count C(n-1,k) C(m-1,l) into the edge-split
-    mixture p * P(avoid | edge) + (1-p) * P(avoid | no edge), one integer over
-    den(p)^(n*m) (``_EdgeSplit.recombined``); rhs is the table's cell
-    ``table.entry(k, l)``. Callers assert lhs == rhs.
+    Cell (k, l) multiplies the subset count C(n-1,k) C(m-1,l) into the
+    edge-split mixture p * P(avoid | edge) + (1-p) * P(avoid | no edge), one
+    integer over b * b^T = den(p)^(n*m) (``_EdgeSplit.recombined``), the scale
+    of ``moment_table``. It shares no formula with ``_closed_form``, so
+    ``verify`` compares the two tables cell by cell, and ``MomentTable``'s
+    guards check this one too.
     """
-    params = table.params
-    _check_orders(params, k, l)
     split = _EdgeSplit(params)
-    return Fraction(split.recombined(k, l), split.b_pow[split.top] * split.b), table.entry(k, l)
-
-
-def recombination_mismatches(table: MomentTable):
-    """Yield (k, l, lhs, rhs) for each cell where the edge split disagrees with the table.
-
-    The sweep of ``recombination_check`` over every (k, l), in integers: the
-    powers and binomial rows are built once, and each lhs, an integer over
-    den(p)^(n*m), is compared with the table's numerator over ``table.scale``
-    by cross-multiplication. Fractions are built only for a mismatch.
-    """
-    split = _EdgeSplit(table.params)
-    scale = split.b_pow[split.top] * split.b
-    for k, row in enumerate(table.numerators):
-        for l, numerator in enumerate(row):
-            lhs = split.recombined(k, l)
-            if lhs * table.scale != numerator * scale:
-                yield k, l, Fraction(lhs, scale), table.entry(k, l)
+    numerators = tuple(tuple(split.recombined(k, l) for l in range(params.m))
+                       for k in range(params.n))
+    return MomentTable(params, split.b_pow[split.top] * split.b, numerators)

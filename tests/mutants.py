@@ -102,7 +102,7 @@ MUTANTS = [
     (PGF, "        if k > first:\n            powers", "        if k > first + 1:\n            powers",
      "closed form: the running product in k skips its first step", TOTALITY_TESTS),
     (PGF, "a_pow[x] * c_pow[y] * b_pow[top - x - y]", "a_pow[x] * c_pow[y] * b_pow[top - x - y - 1]",
-     "edge-split power table: a term padded by one power of b too few", TOTALITY_TESTS),
+     "edge-split powers: a term padded by one power of b too few", TOTALITY_TESTS),
     (PGF, "(m - j) + (j - 1) * k + (n - i)", "(m - j) + j * k + (n - i)",
      "edge conditional: the tracked object's objects also avoid the marked vertices",
      TOTALITY_TESTS),
@@ -145,12 +145,16 @@ MUTANTS = [
      "_law_cells: the memo keyed by bit length, coarser than the count", CLI_TESTS),
     (STATS, "+ other.num, other.exp, self.base)", "+ other.num, self.exp, self.base)",
      "exact moments: a sum lifted to the larger exponent kept at the smaller", STATS_TESTS),
-    (PGF, "if lhs * table.scale != numerator * scale:", "if lhs != numerator:",
-     "edge-split sweep: numerators compared without cross-multiplying the scales", PGF_TESTS),
+    (CLI, "if c * other_scale != d * scale:", "if c != d:",
+     "verify's cell comparison: numerators compared without cross-multiplying the scales",
+     PGF_TESTS),
     (BIPARTITE, "((tracked & line) != 0)", "((tracked & line) >= 0)",
      "enumeration step: x also grows for a line that misses the tracked line", BIPARTITE_TESTS),
     (BIPARTITE, "np.where(line & 1, covered | line, covered)", "(covered | line)",
      "enumeration step: a line without bit 0 also covers its bits", BIPARTITE_TESTS),
+    (PGF, "MomentTable(params, split.b_pow[split.top] * split.b, numerators)",
+     "MomentTable(params, split.b_pow[split.top], numerators)",
+     "edge-split table: its scale b^T, not b * b^T = den(p)^(n*m)", PGF_TESTS),
 ]
 
 

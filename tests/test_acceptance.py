@@ -24,8 +24,8 @@ from rigjoint import (
     marginal_pmf,
     moment_table,
     moments,
-    recombination_check,
     bipartite,
+    pgf,
     tv_distance,
 )
 from rigjoint.cli import main
@@ -96,10 +96,8 @@ def test_criterion_04_transform_identity():
             polynomials.append(exhaustive_joint(params).pmf)
         rebuilt = None
         if n <= 6 and m <= 6:
-            table = moment_table(params)
-            rebuilt = [
-                [recombination_check(table, k, l)[0] for l in range(m)] for k in range(n)
-            ]
+            split = pgf.edge_split_table(params)
+            rebuilt = [[split.entry(k, l) for l in range(m)] for k in range(n)]
         for _ in range(20):
             x = Fraction(rnd.choice(nonzero), rnd.randint(1, 6))
             y = Fraction(rnd.choice(nonzero), rnd.randint(1, 6))
@@ -115,16 +113,18 @@ def test_criterion_04_transform_identity():
 
 
 def test_criterion_05_recombination():
+    # the same numerators over the same scale, also at p = 0 and 1, where 0**0
+    # enters the edge split's sums, and near them, where b pads every term
     ok = True
-    for n in range(1, 7):
-        for m in range(1, 7):
-            for p in [Fraction(1, 3), Fraction(1, 2)]:
-                table = moment_table(ModelParams(n, m, p))
-                for k in range(n):
-                    for l in range(m):
-                        lhs, rhs = recombination_check(table, k, l)
-                        ok = ok and lhs == rhs
-    _report(5, "edge-split recombination rebuilds every moment (n,m <= 6)", ok)
+    shapes = [(n, m) for n in range(1, 7) for m in range(1, 7)]
+    shapes += [(1, 22), (22, 1), (2, 11), (4, 5), (5, 4)]
+    for n, m in shapes:
+        for p in [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(1, 2), Fraction(1, 1000),
+                  Fraction(999, 1000)]:
+            params = ModelParams(n, m, p)
+            ok = ok and pgf.edge_split_table(params) == moment_table(params)
+    _report(5, "edge-split table equals the moment table (n,m <= 6; 1x22, 22x1, 2x11, "
+            "4x5, 5x4)", ok)
 
 
 def test_criterion_06_moment_identities():

@@ -726,6 +726,36 @@ class TestVerifyCommand:
         )
         assert "enumerated polynomial" in lines[2]
 
+    @pytest.mark.parametrize(
+        "cell,err",
+        [
+            ((0, 0), "".join(f"{name}: entry (0,0) must equal 1, got 1\n" for name in (
+                "enumeration_vs_formula", "edge_split_recombination", "pgf_transform_identity"))),
+            ((1, 1), "enumeration_vs_formula: first mismatch at (a,b) = (0,9): "
+                     "formula 0, enumeration 0\n"
+                     "edge_split_recombination: first mismatch at (k,l) = (1,1): "
+                     "edge split 10, closed form 10\n"
+                     "pgf_transform_identity: first mismatch at (x,y) = (2/3,3/5): "
+                     "PGF 1, enumerated polynomial 1\n"),
+        ],
+        ids=["guard", "mismatch"],
+    )
+    def test_failure_past_the_int_to_str_limit(self, capsys, monkeypatch, cell, err):
+        # den(p)^(n*m) = 10^15994: each value a message shows has a numerator or
+        # denominator past 4300 digits, so it prints as a 17-digit decimal
+        original = pgf.moment_table
+
+        def one_count_too_high(params):
+            table = original(params)
+            numerators = [list(row) for row in table.numerators]
+            numerators[cell[0]][cell[1]] += 1
+            return pgf.MomentTable(params, table.scale, tuple(map(tuple, numerators)))
+
+        monkeypatch.setattr(pgf, "moment_table", one_count_too_high)
+        code, out, got = run(capsys, ["verify", "--n", "2", "--m", "11", "--p", "1e-727"])
+        assert (code, got) == (1, err)
+        assert out.count(",FAIL") == 3
+
     def test_pgf_identity_fails_on_its_own(self, capsys, monkeypatch):
         # the table and its sieved law stay right; only F as read off the table is off
         original = pgf.MomentTable.eval_pgf
@@ -1096,6 +1126,10 @@ def test_exact_moment_digit_bounds_on_a_grid(capsys, monkeypatch, digit_limit_64
     assert len(codes) == 216 and codes.count(0) > 50 and codes.count(3) > 50
 
 
+# Magnitudes from here on round past the largest double, (2^53 - 1) 2^971.
+_PAST_DOUBLE = 2**1024 - 2**970
+
+
 class TestDec:
     @pytest.mark.parametrize(
         "value,text",
@@ -1103,9 +1137,9 @@ class TestDec:
             # within the doubles: the digits of the nearest double, as pinned outputs print
             (Fraction(1, 3), "0.33333333333333331"),
             (2**53 + 1, "9007199254740992"),
-            (cli._PAST_DOUBLE - 1, "1.7976931348623157e+308"),
+            (_PAST_DOUBLE - 1, "1.7976931348623157e+308"),
             # past them: the exact integer rounded half to even
-            (cli._PAST_DOUBLE, "1.7976931348623158e+308"),
+            (_PAST_DOUBLE, "1.7976931348623158e+308"),
             (10**400 - 1, "1e+400"),
             (Fraction(-3 * 10**400 + 5), "-3e+400"),
             (123456789012345645 * 10**299, "1.2345678901234564e+316"),
@@ -1116,7 +1150,7 @@ class TestDec:
     def test_pinned(self, value, text):
         assert cli._dec(value) == text
 
-    @given(st.integers(cli._PAST_DOUBLE, 10**6000))
+    @given(st.integers(_PAST_DOUBLE, 10**6000))
     def test_within_half_a_unit_of_the_17th_digit(self, value):
         text = cli._dec(value)
         exponent = int(text.split("e+")[1])

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,10 +20,9 @@ from rigjoint import (
     joint_pmf,
     marginal_pmf,
     moment_table,
-    recombination_check,
     sieve_invert,
 )
-from rigjoint import pgf
+from rigjoint import cli, pgf
 from rigjoint.pgf import JointDegreeDistribution, MarginalDistribution, MomentTable
 
 from tests import reference
@@ -398,8 +398,8 @@ class TestEvalJointPgf:
         for n, m, p in [(3, 3, Fraction(2, 3)), (5, 4, Fraction(1, 5)), (2, 7, HALF)]:
             params = ModelParams(n, m, p)
             enumerated = exhaustive_joint(params).pmf
-            table = moment_table(params)
-            rebuilt = [[recombination_check(table, k, l)[0] for l in range(m)] for k in range(n)]
+            split = pgf.edge_split_table(params)
+            rebuilt = [[split.entry(k, l) for l in range(m)] for k in range(n)]
             for _ in range(8):
                 x = Fraction(rnd.choice([-9, -5, -2, -1, 1, 2, 4, 9]), rnd.randint(1, 6))
                 y = Fraction(rnd.choice([-7, -3, -1, 1, 3, 8]), rnd.randint(1, 6))
@@ -624,26 +624,16 @@ class TestMarginals:
 
 class TestRecombination:
     def test_pinned(self):
-        table = moment_table(P22)
-        lhs, rhs = recombination_check(table, 1, 1)
-        assert lhs == rhs == Fraction(7, 16)
-        lhs, rhs = recombination_check(table, 0, 0)
-        assert lhs == rhs == 1
+        split = pgf.edge_split_table(P22)
+        assert split.entry(1, 1) == Fraction(7, 16)
+        assert split.entry(0, 0) == 1
+        assert split.scale == 2**4
 
     def test_exact_equality_including_enumeration(self):
-        table = moment_table(ModelParams(3, 3, Fraction(2, 3)))
-        lhs, rhs = recombination_check(table, 2, 1)
-        assert lhs == rhs
-        assert rhs == reference.falling_moment(3, 3, Fraction(2, 3), 2, 1)
-
-    def test_reads_the_table(self):
-        # the law at 1-p is a valid table, just the wrong one
-        params = ModelParams(3, 4, Fraction(2, 5))
-        swapped = moment_table(ModelParams(3, 4, Fraction(3, 5)))
-        table = MomentTable(params, swapped.scale, swapped.numerators)
-        lhs, rhs = recombination_check(table, 0, 1)
-        assert rhs == swapped.entry(0, 1)
-        assert lhs == moment_table(params).entry(0, 1) != rhs
+        params = ModelParams(3, 3, Fraction(2, 3))
+        lhs = pgf.edge_split_table(params).entry(2, 1)
+        assert lhs == moment_table(params).entry(2, 1)
+        assert lhs == reference.falling_moment(3, 3, Fraction(2, 3), 2, 1)
 
     @pytest.mark.parametrize(
         "n,m,p",
@@ -667,12 +657,15 @@ class TestRecombination:
         ],
     )
     def test_all_orders(self, n, m, p):
-        table = moment_table(ModelParams(n, m, p))
-        for k in range(n):
-            for l in range(m):
-                lhs, rhs = recombination_check(table, k, l)
-                assert lhs == rhs
-        assert list(pgf.recombination_mismatches(table)) == []
+        # the same numerators over the same scale
+        params = ModelParams(n, m, p)
+        assert pgf.edge_split_table(params) == moment_table(params)
+
+    @staticmethod
+    def sweep(split, rows, scale):
+        """verify's edge-split comparison of ``split`` with a table's rows over ``scale``."""
+        return list(cli._cell_mismatches("k,l", ("edge split", "closed form"),
+                                         (split.numerators, split.scale), (rows, scale)))
 
     @pytest.mark.parametrize(
         "n,m,p,k,l",
@@ -684,18 +677,28 @@ class TestRecombination:
         table = moment_table(params)
         numerators = [list(row) for row in table.numerators]
         numerators[k][l] += 1
-        wrong = MomentTable(params, table.scale, tuple(map(tuple, numerators)))
-        assert list(pgf.recombination_mismatches(wrong)) == [
-            (k, l, table.entry(k, l), table.entry(k, l) + Fraction(1, table.scale))
+        wrong = table.entry(k, l) + Fraction(1, table.scale)
+        assert self.sweep(pgf.edge_split_table(params), numerators, table.scale) == [
+            f"(k,l) = ({k},{l}): edge split {table.entry(k, l)}, closed form {wrong}"
         ]
 
     def test_sweep_compares_values_over_any_scale(self):
         # the same table over 3 times its scale: every value is unchanged
         params = ModelParams(3, 4, Fraction(2, 5))
         table = moment_table(params)
-        tripled = tuple(tuple(3 * e for e in row) for row in table.numerators)
-        same = MomentTable(params, 3 * table.scale, tripled)
-        assert list(pgf.recombination_mismatches(same)) == []
+        tripled = [[3 * e for e in row] for row in table.numerators]
+        assert self.sweep(pgf.edge_split_table(params), tripled, 3 * table.scale) == []
+
+    def test_single_cell_memory_peak(self):
+        # one conditional forms only its own terms' powers, not the whole model's
+        params = ModelParams(2, 31, Fraction(1, 10**258 - 1))
+        tracemalloc.start()
+        try:
+            cond_nonadjacency_given_edge(params, 0, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, peak
 
 
 class TestExactPipelineProperties:
