@@ -326,19 +326,19 @@ def _formula_check(name: str, mismatches) -> tuple:
     return name, "PASS" if first is None else "FAIL"
 
 
-def _cell_mismatches(cell: str, names: tuple, left: tuple, right: tuple):
+def _cell_mismatches(cell: str, left: tuple, right: tuple):
     """Describe each cell where two tables differ: "(cell) = (i,j): name value, name value".
 
-    ``left`` and ``right`` are (rows, scale) pairs, compared cell by cell by
-    cross-multiplication. Fractions are formed, and shown by ``_shown``, only
-    for a mismatch.
+    ``left`` and ``right`` are (name, rows, scale): integer rows over one scale
+    each, compared cell by cell by cross-multiplication. Fractions are formed,
+    and shown by ``_shown``, only for a mismatch.
     """
-    (rows, scale), (other_rows, other_scale) = left, right
+    (name, rows, scale), (other_name, other_rows, other_scale) = left, right
     for i, (row, other_row) in enumerate(zip(rows, other_rows)):
         for j, (c, d) in enumerate(zip(row, other_row)):
             if c * other_scale != d * scale:
-                yield (f"({cell}) = ({i},{j}): {names[0]} {_shown(Fraction(c, scale))}, "
-                       f"{names[1]} {_shown(Fraction(d, other_scale))}")
+                yield (f"({cell}) = ({i},{j}): {name} {_shown(Fraction(c, scale))}, "
+                       f"{other_name} {_shown(Fraction(d, other_scale))}")
 
 
 def cmd_verify(args, params: ModelParams) -> int:
@@ -364,13 +364,13 @@ def cmd_verify(args, params: ModelParams) -> int:
 
     def formula_mismatches():
         law = pgf.sieve_invert(table())
-        return _cell_mismatches("a,b", ("formula", "enumeration"),
-                                (law.counts, law.scale), (oracle.counts, oracle.scale))
+        return _cell_mismatches("a,b", ("formula", law.counts, law.scale),
+                                ("enumeration", oracle.counts, oracle.scale))
 
     def edge_split_mismatches():
-        split, closed = pgf.edge_split_table(params), table()
-        return _cell_mismatches("k,l", ("edge split", "closed form"),
-                                (split.numerators, split.scale), (closed.numerators, closed.scale))
+        split = pgf.edge_split_table(params)
+        return _cell_mismatches("k,l", ("edge split", split.numerators, split.scale),
+                                ("closed form", table().numerators, table().scale))
 
     def transform_mismatches():
         for x, y in _VERIFY_POINTS:
@@ -383,9 +383,8 @@ def cmd_verify(args, params: ModelParams) -> int:
             )
             denominator = oracle.scale * x.denominator ** (n - 1) * y.denominator ** (m - 1)
             if value.numerator * denominator != numerator * value.denominator:
-                polynomial = Fraction(numerator, denominator)
                 yield (f"(x,y) = ({x},{y}): PGF {_shown(value)}, "
-                       f"enumerated polynomial {_shown(polynomial)}")
+                       f"enumerated polynomial {_shown(Fraction(numerator, denominator))}")
 
     checks = [
         _formula_check("enumeration_vs_formula", formula_mismatches),

@@ -664,8 +664,8 @@ class TestRecombination:
     @staticmethod
     def sweep(split, rows, scale):
         """verify's edge-split comparison of ``split`` with a table's rows over ``scale``."""
-        return list(cli._cell_mismatches("k,l", ("edge split", "closed form"),
-                                         (split.numerators, split.scale), (rows, scale)))
+        return list(cli._cell_mismatches("k,l", ("edge split", split.numerators, split.scale),
+                                         ("closed form", rows, scale)))
 
     @pytest.mark.parametrize(
         "n,m,p,k,l",
