@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import pgf
 from .bipartite import empirical_joint, enumeration_refusal, exhaustive_joint, sample_words
-from .exact import Mode, SizeCapError, _dec, _shown, parse_probability
+from .exact import Mode, SizeCapError, _dec, _pair, parse_probability
 from .pgf import ModelParams, Side, joint_pmf, marginal_pmf
 from .stats import chi_square, moments, tv_distance
 
@@ -331,14 +331,14 @@ def _cell_mismatches(cell: str, left: tuple, right: tuple):
 
     ``left`` and ``right`` are (name, rows, scale): integer rows over one scale
     each, compared cell by cell by cross-multiplication. Fractions are formed,
-    and shown by ``_shown``, only for a mismatch.
+    and shown by ``_pair``, only for a mismatch.
     """
     (name, rows, scale), (other_name, other_rows, other_scale) = left, right
     for i, (row, other_row) in enumerate(zip(rows, other_rows)):
         for j, (c, d) in enumerate(zip(row, other_row)):
             if c * other_scale != d * scale:
-                yield (f"({cell}) = ({i},{j}): {name} {_shown(Fraction(c, scale))}, "
-                       f"{other_name} {_shown(Fraction(d, other_scale))}")
+                yield f"({cell}) = ({i},{j}): " + _pair(
+                    name, Fraction(c, scale), other_name, Fraction(d, other_scale))
 
 
 def cmd_verify(args, params: ModelParams) -> int:
@@ -383,8 +383,8 @@ def cmd_verify(args, params: ModelParams) -> int:
             )
             denominator = oracle.scale * x.denominator ** (n - 1) * y.denominator ** (m - 1)
             if value.numerator * denominator != numerator * value.denominator:
-                yield (f"(x,y) = ({x},{y}): PGF {_shown(value)}, "
-                       f"enumerated polynomial {_shown(Fraction(numerator, denominator))}")
+                yield f"(x,y) = ({x},{y}): " + _pair(
+                    "PGF", value, "enumerated polynomial", Fraction(numerator, denominator))
 
     checks = [
         _formula_check("enumeration_vs_formula", formula_mismatches),
@@ -514,10 +514,7 @@ def _admit(args) -> dict:
         # <= E[X^2] = E[X] + E[X(X-1)] <= E[X] + (n-1)(n-2) min(1, m p^3 (1 + m p)), by a union
         # bound over the objects two other vertices share with the tracked one; |cov| <=
         # (n-1)(m-1) / 4. Both digit counts are refused before the work, the denominator's
-        # only where it is exact. CSV scan prints only decimals, and keeps the means' bound
-        # b^(2m) / (n-1).
-        limit = sys.get_int_max_str_digits()
-        exact = command == "moments" or args.format == "json"
+        # only where it is exact. CSV scan prints only decimals: the work bound alone covers it.
         p = points[-1].p
 
         def mean(size, other):
@@ -528,31 +525,27 @@ def _admit(args) -> dict:
             return min(Fraction((size - 1) ** 2, 4), mean(size, other) + pairs)
 
         # (e, f, the moment's bound, whether b^e / gcd(f, b^e) is the reduced denominator)
-        printed = [(2 * m, n - 1, mean(n, m), True), (2 * n, m - 1, mean(m, n), True)]
-        if exact and min(n, m) >= 2:
-            printed.append((2 * (n + m), (n - 1) * (m - 1), Fraction((n - 1) * (m - 1), 4), True))
+        printed = [(2 * m, n - 1, mean(n, m), True), (2 * n, m - 1, mean(m, n), True),
+                   (2 * (n + m), (n - 1) * (m - 1), Fraction((n - 1) * (m - 1), 4), True)]
         if command == "moments":  # one point, so one b
             b = p.denominator
             printed += [(4 * other, (size - 1) * math.gcd(size - 1, pow(b, other, size - 1)),
                          var(size, other), (size - 1).bit_length() <= other)
                         for size, other in ((n, m), (m, n)) if size > 1]
+        elif args.format == "csv":
+            printed = []
         for b in {point.p.denominator for point in points}:
             for e, f, bound, reduced in printed:
-                if not f:
+                if not f:  # a mean, or cov, at a side of 1: the moment is 0
                     continue
-                if not exact:
-                    past = _power_past(b, e, limit, Fraction(1, f))
-                else:
-                    g = math.gcd(f, pow(b, e, f))
-                    factor = Fraction(max(bound, 1) if reduced else bound, g)
-                    past = _power_past(b, e, limit, factor)
-                if past:
+                factor = Fraction(max(bound, 1) if reduced else bound, math.gcd(f, pow(b, e, f)))
+                if _power_past(b, e, sys.get_int_max_str_digits(), factor):
                     raise _too_many_digits()
         side = max(n, m) if min(n, m) > 1 else 1
         try:  # p = 0 and p = 1 are point masses and build no powers
             work = sum((4 * side * math.log10(point.p.denominator)) ** 2 + MOMENT_POINT_WORK
                        for point in points if point.p.denominator > 1)
-        except OverflowError:  # a side past the doubles, with the int-to-str limit lifted
+        except OverflowError:  # a side past the doubles, in CSV scan or past a lifted digit limit
             work = math.inf
         if work > MAX_MOMENT_WORK:
             raise SizeCapError(f"exact moments need {work:.3g} squared digits of den(p) powers "

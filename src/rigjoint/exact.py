@@ -72,15 +72,27 @@ def _dec(value) -> str:
     try:
         return f"{float(value):.17g}"
     except OverflowError:  # float() raises from 2^1024 - 2^970 on, past (2^53 - 1) 2^971
-        pass
-    from decimal import Decimal  # exact for any int, and not loaded at start-up
-    mantissa, exponent = format(Decimal(int(value)), ".17g").split("e")
-    return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
+        return _quotient(int(value))
+
+
+def _quotient(value) -> str:
+    """A rational past the doubles in "%.17g"'s form: its quotient to 17 digits, half to even."""
+    from decimal import Context, Decimal  # exact for any int, and not loaded at start-up
+    quotient = Context(prec=17).divide(Decimal(value.numerator), Decimal(value.denominator))
+    return format(quotient.normalize(), "g")
 
 
 def _shown(value) -> str:
-    """str(value) for a message, or ``_dec(value)`` where str() passes Python's int-to-str limit."""
+    """str(value) for a message; past Python's int-to-str limit ``_dec(value)``, or
+    ``_quotient(value)`` where a nonzero value rounds to 0 in a double, to keep its exponent."""
     try:
         return str(value)
     except ValueError:  # str(int) raises only at the limit, a process-wide setting
-        return _dec(value)
+        return _quotient(value) if 0 < abs(value) <= Fraction(1, 2**1075) else _dec(value)
+
+
+def _pair(name: str, value, other_name: str, other) -> str:
+    """"name value, other_name other" by ``_shown``, with value - other where both read alike."""
+    text, other_text = _shown(value), _shown(other)
+    tail = f", difference {_shown(value - other)}" if text == other_text else ""
+    return f"{name} {text}, {other_name} {other_text}{tail}"

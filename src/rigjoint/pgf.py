@@ -74,7 +74,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import comb
 
-from .exact import Mode, Scalar, _shown, as_scalar
+from .exact import Mode, Scalar, _pair, as_scalar
 
 # l values per block of the float joint PGF. Larger blocks mean fewer Horner
 # passes over k, hence fewer numpy calls; smaller ones mean less padding above
@@ -143,7 +143,7 @@ class MomentTable:
         if any(e < 0 for row in self.numerators for e in row):
             raise ValueError("moment entries must be nonnegative")
         if self.numerators[0][0] != self.scale:
-            raise ValueError(f"entry (0,0) must equal 1, got {_shown(self.entry(0, 0))}")
+            raise ValueError(f"entry (0,0) {_pair('must equal', 1, 'got', self.entry(0, 0))}")
 
     def entry(self, k: int, l: int) -> Fraction:
         return Fraction(self.numerators[k][l], self.scale)
@@ -496,8 +496,7 @@ def _eval_joint_float(params: ModelParams, x: float, y: float) -> float:
     the cost is the window's size, not the max(n,m) min(n,m)^2 / 2
     multiply-adds of the full sum. Where the tolerance times the bound is
     below the smallest normal double, subnormal weights would make the tail
-    sums inexact, so there nothing is cut but exact zeros at the top of u and
-    v, and the full sum runs.
+    sums inexact, so there the budget is 0 and the windows cut only exact zeros.
     """
     import numpy as np
     n, m = params.n, params.m
@@ -510,16 +509,11 @@ def _eval_joint_float(params: ModelParams, x: float, y: float) -> float:
     s = 1.0 - p * p
     jensen = x ** ((n - 1) * (1.0 - s**m)) * y ** ((m - 1) * (1.0 - s**n))
     budget = _CUT_TOLERANCE / 3 * max(jensen, q ** (n + m - 1))
-    if budget >= sys.float_info.min:
-        k0, k1 = _window(u, budget)
-        l0, l1 = _window(v, budget)
-        top_i = _window(_binomial_weights(q, l1 - 1, np.arange(l1)), budget)[1] - 1
-    else:
-        # Exact zeros at the top of u and v (x or y equal to 1, or underflow)
-        # add nothing, so the sums stop at the last nonzero weight.
-        k0, k1 = 0, np.flatnonzero(u)[-1] + 1
-        l0, l1 = 0, np.flatnonzero(v)[-1] + 1
-        top_i = l1 - 1
+    if budget < sys.float_info.min:
+        budget = 0.0
+    k0, k1 = _window(u, budget)
+    l0, l1 = _window(v, budget)
+    top_i = _window(_binomial_weights(q, l1 - 1, np.arange(l1)), budget)[1] - 1
     k = np.arange(k0, k1)
     q_pow = q**k
     per_object = 1.0 - p + p * q_pow

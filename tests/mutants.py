@@ -155,6 +155,10 @@ MUTANTS = [
     (PGF, "MomentTable(params, split.b_pow[split.top] * split.b, numerators)",
      "MomentTable(params, split.b_pow[split.top], numerators)",
      "edge-split table: its scale b^T, not b * b^T = den(p)^(n*m)", PGF_TESTS),
+    (CLI, 'elif args.format == "csv":\n            printed = []',
+     'elif args.format == "csv":\n            printed = printed[:2]',
+     "moments admission: CSV scan bounded by the digits of the means it prints as decimals",
+     CLI_TESTS),
 ]
 
 

@@ -729,20 +729,23 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "cell,err",
         [
-            ((0, 0), "".join(f"{name}: entry (0,0) must equal 1, got 1\n" for name in (
-                "enumeration_vs_formula", "edge_split_recombination", "pgf_transform_identity"))),
+            ((0, 0), "".join(
+                f"{name}: entry (0,0) must equal 1, got 1, difference -1e-15994\n" for name in (
+                    "enumeration_vs_formula", "edge_split_recombination", "pgf_transform_identity"))),
             ((1, 1), "enumeration_vs_formula: first mismatch at (a,b) = (0,9): "
-                     "formula 0, enumeration 0\n"
+                     "formula 2e-7269, enumeration 2e-7269, difference 1e-15994\n"
                      "edge_split_recombination: first mismatch at (k,l) = (1,1): "
-                     "edge split 10, closed form 10\n"
+                     "edge split 10, closed form 10, difference -1e-15994\n"
                      "pgf_transform_identity: first mismatch at (x,y) = (2/3,3/5): "
-                     "PGF 1, enumerated polynomial 1\n"),
+                     "PGF 1, enumerated polynomial 1, difference 1.3436928e-15997\n"),
         ],
         ids=["guard", "mismatch"],
     )
     def test_failure_past_the_int_to_str_limit(self, capsys, monkeypatch, cell, err):
         # den(p)^(n*m) = 10^15994: each value a message shows has a numerator or
-        # denominator past 4300 digits, so it prints as a 17-digit decimal
+        # denominator past 4300 digits, so it prints as a 17-digit decimal, which keeps
+        # the exponent of a value below the doubles; two values that print alike also
+        # show their difference
         original = pgf.moment_table
 
         def one_count_too_high(params):
@@ -852,7 +855,7 @@ class TestScanCommand:
     )
 
     @staticmethod
-    def _refused_before_computing(capsys, monkeypatch, argv):
+    def _refused_before_computing(capsys, monkeypatch, argv, message="4300 digits"):
         def must_not_run(*args, **kwargs):
             raise AssertionError("moments was computed although exact mode refuses it")
 
@@ -860,22 +863,41 @@ class TestScanCommand:
         code, out, err = run(capsys, argv)
         assert code == 3
         assert out == ""
-        assert len(err.splitlines()) == 1 and "4300 digits" in err
+        assert len(err.splitlines()) == 1 and message in err
 
     @PAST_LIMIT_GRIDS
     def test_json_past_int_str_limit_exits_3_before_computing(self, capsys, monkeypatch, grid):
         argv = ["scan", "--n", "10000", "--m", "10000", "--p-grid", grid, "--format", "json"]
         self._refused_before_computing(capsys, monkeypatch, argv)
 
-    # CSV prints only decimals, but is bounded like exact `moments` on the same
-    # (n, m, p), which exits 3 rather than build integers that large.
+    # CSV prints only decimals, so no digit bound applies: the work bound refuses these
+    # grids, with D = 4 * 10000 * 10 digits of den(p) powers at p = 1234567/10^10 and 1/10^10.
+    # Exact `moments` on the same (n, m, p) exits 3 rather than print integers that large.
     @PAST_LIMIT_GRIDS
     def test_csv_past_int_str_limit_exits_3_before_computing(self, capsys, monkeypatch, grid):
         argv = ["scan", "--n", "10000", "--m", "10000", "--p-grid", grid]
-        self._refused_before_computing(capsys, monkeypatch, argv)
+        work = "exact moments need 1.6e+11 squared digits of den(p) powers"
+        self._refused_before_computing(capsys, monkeypatch, argv, work)
         p = grid.split(":")[1]
         moments_argv = ["moments", "--n", "10000", "--m", "10000", "--p", p]
         self._refused_before_computing(capsys, monkeypatch, moments_argv)
+
+    # E[X]'s denominator is den(p)^(2m) / gcd(n - 1, den(p)^(2m)): 10^5600 at 2 x 700,
+    # p = 10^-4, and 10^4800 at 400 x 400, p = 10^-6, past 4300 digits, so JSON scan and
+    # moments exit 3 before the work. CSV prints it only as a decimal.
+    @pytest.mark.parametrize(
+        "n,m,p", [(2, 700, "1e-4"), (400, 400, "0.000001")], ids=["2x700", "400x400"]
+    )
+    def test_csv_prints_decimals_past_int_str_limit(self, capsys, monkeypatch, n, m, p):
+        shape, grid = ["--n", str(n), "--m", str(m)], ["--p-grid", f"{p}:{p}:1"]
+        code, out, err = run(capsys, ["scan", *shape, *grid])
+        assert (code, err) == (0, "")
+        s = stats.moments(pgf.ModelParams(n, m, Fraction(p)))
+        row = ",".join(map(cli._dec, [Fraction(p), s.mean_x, s.mean_y, s.cov, s.corr]))
+        assert out.splitlines() == ["p,mean_x,mean_y,cov,corr", row]
+        json_argv = ["scan", *shape, *grid, "--format", "json"]
+        self._refused_before_computing(capsys, monkeypatch, json_argv)
+        self._refused_before_computing(capsys, monkeypatch, ["moments", *shape, "--p", p])
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["scan", "--n", "3", "--m", "4", "--p-grid", "0:1:0.2"]
@@ -1034,10 +1056,12 @@ class TestAdmission:
         assert json.loads(out)["result"]["var_y"]["den"] == str(10**640 // 2)
 
     def test_mean_bound_divides_out_n_minus_1(self, capsys, digit_limit_640):
-        # p = 1/2 and n - 1 = 2^8: E[X]'s denominator is 2^(2m) / 2^8 = 2^2120, below
-        # 10^640, though 2^(2m) = 2^2128 is not; CSV scan bounds only the means
-        code, out, _ = run(capsys, ["scan", "--n", "257", "--m", "1064", "--p-grid", "1/2:1/2:1"])
-        assert code == 0 and out.splitlines()[1].startswith("0.5,")
+        # b = 10^320 and n - 1 = 10: E[X]'s denominator is b^(2m) / 10 = 10^639, below
+        # 10^640, though b^(2m) is not; at m = 1 JSON scan prints no cov
+        argv = ["scan", "--n", "11", "--m", "1", "--p-grid", "1e-320:1e-320:1", "--format", "json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["result"][0]["mean_x"] == {"num": "1", "den": str(10**639)}
 
     def test_csv_scan_prints_cov_past_the_limit_as_a_decimal(self, capsys):
         code, out, _ = run(capsys, ["scan", "--n", "1300", "--m", "1300", "--p-grid", "1/7:1/7:1"])
@@ -1097,8 +1121,9 @@ MOMENT_GRID_SIZES = [1, 2, 3, 40, 160, 1300]
 
 
 def test_exact_moment_digit_bounds_on_a_grid(capsys, monkeypatch, digit_limit_640):
-    """Every exact moments or scan run that exits 3 is refused before moments runs,
-    and only where a fraction it prints has an integer of more than 640 digits."""
+    """Every exact moments or JSON scan run that exits 3 is refused before moments runs,
+    and only where a fraction it prints has an integer of more than 640 digits. CSV scan
+    prints only decimals, and exits 0 on every point."""
     calls = []
 
     def counted(params, mode):
@@ -1109,13 +1134,15 @@ def test_exact_moment_digit_bounds_on_a_grid(capsys, monkeypatch, digit_limit_64
     codes = []
     for n, m in itertools.product(MOMENT_GRID_SIZES, repeat=2):
         for p in ("1/2", "1/7", "3/10"):
-            for command in (["moments", "--p", p], ["scan", "--p-grid", f"{p}:{p}:1", "--format", "json"]):
+            grid = ["scan", "--p-grid", f"{p}:{p}:1"]
+            for command in (["moments", "--p", p], [*grid, "--format", "json"], grid):
                 calls.clear()
                 code, _, err = run(capsys, command + ["--n", str(n), "--m", str(m)])
                 codes.append(code)
                 assert code in (0, 3), (n, m, p, command)
                 if code == 0:
                     continue
+                assert command is not grid, (n, m, p, err)
                 assert not calls and "640 digits" in err, (n, m, p, command, err)
                 summary = stats.moments(pgf.ModelParams(n, m, Fraction(p)))
                 printed = ("mean_x", "mean_y", "var_x", "var_y", "cov")
@@ -1123,7 +1150,7 @@ def test_exact_moment_digit_bounds_on_a_grid(capsys, monkeypatch, digit_limit_64
                     printed = ("mean_x", "mean_y", "cov")
                 values = [getattr(summary, name) for name in printed]
                 assert max(max(abs(v.numerator), v.denominator) for v in values) >= 10**640, (n, m, p)
-    assert len(codes) == 216 and codes.count(0) > 50 and codes.count(3) > 50
+    assert len(codes) == 324 and codes.count(0) > 158 and codes.count(3) > 50
 
 
 # Magnitudes from here on round past the largest double, (2^53 - 1) 2^971.
