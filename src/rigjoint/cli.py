@@ -1,9 +1,11 @@
 """Command line surface: exact pmf tables, moments, Monte Carlo, verification.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments, 3 size
-cap exceeded. Every refusal before work comes from ``_admit``, the one place
-that states a bound; each ``cmd_*`` function gets the admitted model from it
-and only computes and renders. Every command writes its output once, through
+cap exceeded. ``_admit`` states every bound and refuses before any work but
+for one: the int-to-str limit on the integers that exact ``moments`` and JSON
+``scan`` print, which ``_digits`` checks as each is printed, after bounded
+work. Each ``cmd_*`` function gets the admitted model from ``_admit`` and only
+computes and renders. Every command writes its output once, through
 ``_write``, to stdout or --output, and identical invocations write identical
 bytes. CSV, the default, is one or more blocks, each a header line and its
 rows, with one blank line between blocks. --format json writes one object
@@ -102,25 +104,20 @@ def _digits(value: int) -> str:
         raise _too_many_digits() from exc
 
 
-def _power_past(base: int, exp: int, digits: int, factor=1) -> bool:
-    """Whether base^exp * factor >= 10^digits, for exp >= 1 and rational factor; False if base < 2.
+def _power_past(base: int, exp: int, digits: int) -> bool:
+    """Whether base^exp >= 10^digits, for exp >= 1; False if base < 2.
 
-    digits = 0, Python's int-to-str setting for no limit, bounds nothing, and so
-    does a factor <= 0. The test compares log2(exp) + log2(log2(base)) with
-    log2(t), t = digits log2(10) - log2(factor), which overflows at no size argparse
-    accepts, and is exact where the two are too close to call. A t below 1/2 is
-    passed at once, since base^exp >= 2.
+    digits = 0, Python's int-to-str setting for no limit, bounds nothing. The
+    test compares log2(exp) + log2(log2(base)) with log2(digits log2(10)), which
+    overflows at no size argparse accepts, and is exact where the two are too
+    close to call.
     """
-    if digits == 0 or base < 2 or factor <= 0:
+    if digits == 0 or base < 2:
         return False
-    target = (digits * math.log2(10) - math.log2(factor.numerator)
-              + math.log2(factor.denominator))
-    if target < 0.5:
-        return True
-    gap = math.log2(exp) + math.log2(math.log2(base)) - math.log2(target)
+    gap = math.log2(exp) + math.log2(math.log2(base)) - math.log2(digits * math.log2(10))
     if abs(gap) > 1e-9:
         return gap > 0
-    return base**exp * factor.numerator >= factor.denominator * 10**digits
+    return base**exp >= 10**digits
 
 
 def _exact_law_refusal(params: ModelParams) -> SizeCapError | None:
@@ -424,9 +421,11 @@ def cmd_scan(args, points: list) -> int:
 def _admit(args) -> dict:
     """Refuse, before any work, an input past any bound; else ``args.func``'s arguments.
 
-    Every bound is stated here once: SizeCapError exits 3, ValueError 2. The
-    arguments are ``params``, the model, or for scan ``points``, one model per
-    grid point; simulate also gets ``fit``, whether pmf admits the exact law.
+    Every bound is stated here once: SizeCapError exits 3, ValueError 2. Exact
+    moments are admitted by their work alone; ``_digits`` refuses a printed
+    integer past the int-to-str limit after that work. The arguments are
+    ``params``, the model, or for scan ``points``, one model per grid point;
+    simulate also gets ``fit``, whether pmf admits the exact law.
     """
     command, n, m = args.command, args.n, args.m
     mode = Mode(getattr(args, "mode", "exact"))
@@ -501,54 +500,15 @@ def _admit(args) -> dict:
                 "float moments need C(n-1,2), C(m-1,2) and (n-1)(m-1) within a double's range"
             ) from None
     elif command in ("moments", "scan"):
-        # With p = a/b in lowest terms and b >= 2, a printed moment is N / b^e with gcd(N, b^e)
-        # = gcd(f, b^e) for its (e, f) in `printed`. E[X] = (n-1)(1-(1-p^2)^m) has N n-1 times
-        # an integer coprime to b, and cov (n-1)(m-1) times one. Var X has N = (n-1)(S b^(2m)
-        # + (n-2) R b^m - (n-1) S^2), S and R coprime to b, whose sum gcd(n-1, b^m) divides;
-        # once n-1 < 2^m the sum has exactly as many factors of each prime of b as n-1 has.
-        # So f = (n-1) gcd(n-1, b^m) gives Var X's reduced denominator there, and an upper
-        # bound on it elsewhere. E[Y] and Var Y swap n and m. A printed numerator is its
-        # reduced denominator times the moment, and each moment has a bound that grows with
-        # p, taken at the grid's largest: E[X] <= (n-1) min(1, m p^2), by a union bound over
-        # the objects; Var X <= (n-1)^2 / 4 (Popoviciu's inequality, X in [0, n-1]) and Var X
-        # <= E[X^2] = E[X] + E[X(X-1)] <= E[X] + (n-1)(n-2) min(1, m p^3 (1 + m p)), by a union
-        # bound over the objects two other vertices share with the tracked one; |cov| <=
-        # (n-1)(m-1) / 4. Both digit counts are refused before the work, the denominator's
-        # only where it is exact. CSV scan prints only decimals: the work bound alone covers it.
-        p = points[-1].p
-
-        def mean(size, other):
-            return (size - 1) * min(1, other * p * p)
-
-        def var(size, other):
-            pairs = (size - 1) * (size - 2) * min(1, other * p**3 * (1 + other * p))
-            return min(Fraction((size - 1) ** 2, 4), mean(size, other) + pairs)
-
-        # (e, f, the moment's bound, whether b^e / gcd(f, b^e) is the reduced denominator)
-        printed = [(2 * m, n - 1, mean(n, m), True), (2 * n, m - 1, mean(m, n), True),
-                   (2 * (n + m), (n - 1) * (m - 1), Fraction((n - 1) * (m - 1), 4), True)]
-        if command == "moments":  # one point, so one b
-            b = p.denominator
-            printed += [(4 * other, (size - 1) * math.gcd(size - 1, pow(b, other, size - 1)),
-                         var(size, other), (size - 1).bit_length() <= other)
-                        for size, other in ((n, m), (m, n)) if size > 1]
-        elif args.format == "csv":
-            printed = []
-        for b in {point.p.denominator for point in points}:
-            for e, f, bound, reduced in printed:
-                if not f:  # a mean, or cov, at a side of 1: the moment is 0
-                    continue
-                factor = Fraction(max(bound, 1) if reduced else bound, math.gcd(f, pow(b, e, f)))
-                if _power_past(b, e, sys.get_int_max_str_digits(), factor):
-                    raise _too_many_digits()
         side = max(n, m) if min(n, m) > 1 else 1
         try:  # p = 0 and p = 1 are point masses and build no powers
             work = sum((4 * side * math.log10(point.p.denominator)) ** 2 + MOMENT_POINT_WORK
                        for point in points if point.p.denominator > 1)
-        except OverflowError:  # a side past the doubles, in CSV scan or past a lifted digit limit
+        except OverflowError:  # a side, or its powers' digits squared, past the doubles
             work = math.inf
         if work > MAX_MOMENT_WORK:
-            raise SizeCapError(f"exact moments need {work:.3g} squared digits of den(p) powers "
+            size = f"more than {sys.float_info.max:.3g}" if work == math.inf else f"{work:.3g}"
+            raise SizeCapError(f"exact moments need {size} squared digits of den(p) powers "
                                f"(summed over the grid in scan); capped at {MAX_MOMENT_WORK:.0e}")
     return {"points": points} if command == "scan" else {"params": params}
 

@@ -122,9 +122,6 @@ MUTANTS = [
     (CLI, "_power_past(params.p.denominator, cells, sys.get_int_max_str_digits())",
      "_power_past(params.p.denominator, cells - 1, sys.get_int_max_str_digits())",
      "pmf admission: the scale's digits bounded one power of den(p) short", CLI_TESTS),
-    (CLI, "- math.log2(factor.numerator)\n              + math.log2(factor.denominator))",
-     "- math.log2(factor.numerator))",
-     "_power_past: the factor's denominator ignored by the log-space test", CLI_TESTS),
     (CLI, "        power *= power\n    powers.append(scale)", "        power *= power",
      "_law_cells: the last gcd against the whole scale dropped", TOTALITY_TESTS),
     (BIPARTITE, "z ^= np.right_shift(z, np.uint64(27), out=shifted)",
@@ -155,10 +152,9 @@ MUTANTS = [
     (PGF, "MomentTable(params, split.b_pow[split.top] * split.b, numerators)",
      "MomentTable(params, split.b_pow[split.top], numerators)",
      "edge-split table: its scale b^T, not b * b^T = den(p)^(n*m)", PGF_TESTS),
-    (CLI, 'elif args.format == "csv":\n            printed = []',
-     'elif args.format == "csv":\n            printed = printed[:2]',
-     "moments admission: CSV scan bounded by the digits of the means it prints as decimals",
-     CLI_TESTS),
+    (CLI, '{_digits(value.numerator)}/{_digits(value.denominator)}',
+     '{_digits(value.numerator)}/{str(value.denominator)}',
+     "_frac: a denominator rendered past the int-to-str limit's check", CLI_TESTS),
 ]
 
 

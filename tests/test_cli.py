@@ -491,20 +491,25 @@ class TestMomentsCommand:
         assert out == ""
         assert "4300 digits" in err
 
-    # 10**400 is past the float range, so the bound must not convert sizes to float.
+    # Both would print integers past the limit, and the work bound refuses both first:
+    # D = 4 * 10^5 * log10(7) digits of den(p) powers, and at 10**400, past the float
+    # range, more squared digits than a double holds.
     @pytest.mark.parametrize(
-        "n,m,p", [(10**5, 10**5, "3/7"), (10**400, 2, "1/2")], ids=["1e5x1e5", "1e400x2"]
+        "n,m,p,work",
+        [(10**5, 10**5, "3/7", "1.14e+11"), (10**400, 2, "1/2", "more than 1.8e+308")],
+        ids=["1e5x1e5", "1e400x2"],
     )
-    def test_past_int_str_limit_exits_3_before_computing(self, capsys, monkeypatch, n, m, p):
+    def test_past_int_str_limit_exits_3_before_computing(self, capsys, monkeypatch, n, m, p,
+                                                         work):
         def must_not_run(*args, **kwargs):
-            raise AssertionError("moments was computed although its output cannot be printed")
+            raise AssertionError("moments was computed although its work is past the bound")
 
         monkeypatch.setattr(cli, "moments", must_not_run)
         code, out, err = run(capsys, ["moments", "--n", str(n), "--m", str(m), "--p", p])
         assert code == 3
         assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert "4300 digits" in err
+        assert err == (f"error: exact moments need {work} squared digits of den(p) powers "
+                       "(summed over the grid in scan); capped at 2e+09\n")
 
 
 def log_space_corr(n, m, p):
@@ -844,7 +849,9 @@ class TestScanCommand:
         assert "100000001 points" in err
 
     # Exact E[X] and E[Y] have fractions past the int-to-str limit; the second
-    # grid's first point (p = 0) is within it, its second is not.
+    # grid's first point (p = 0) is within it, its second is not. The work bound
+    # refuses both first, with D = 4 * 10000 * 10 digits of den(p) powers at
+    # p = 1234567/10^10 and 1/10^10, whatever the format and in exact `moments` too.
     PAST_LIMIT_GRIDS = pytest.mark.parametrize(
         "grid",
         [
@@ -855,7 +862,7 @@ class TestScanCommand:
     )
 
     @staticmethod
-    def _refused_before_computing(capsys, monkeypatch, argv, message="4300 digits"):
+    def _refused_before_computing(capsys, monkeypatch, argv):
         def must_not_run(*args, **kwargs):
             raise AssertionError("moments was computed although exact mode refuses it")
 
@@ -863,28 +870,26 @@ class TestScanCommand:
         code, out, err = run(capsys, argv)
         assert code == 3
         assert out == ""
-        assert len(err.splitlines()) == 1 and message in err
+        assert len(err.splitlines()) == 1
+        assert "exact moments need 1.6e+11 squared digits of den(p) powers" in err
 
     @PAST_LIMIT_GRIDS
     def test_json_past_int_str_limit_exits_3_before_computing(self, capsys, monkeypatch, grid):
         argv = ["scan", "--n", "10000", "--m", "10000", "--p-grid", grid, "--format", "json"]
         self._refused_before_computing(capsys, monkeypatch, argv)
 
-    # CSV prints only decimals, so no digit bound applies: the work bound refuses these
-    # grids, with D = 4 * 10000 * 10 digits of den(p) powers at p = 1234567/10^10 and 1/10^10.
-    # Exact `moments` on the same (n, m, p) exits 3 rather than print integers that large.
     @PAST_LIMIT_GRIDS
     def test_csv_past_int_str_limit_exits_3_before_computing(self, capsys, monkeypatch, grid):
         argv = ["scan", "--n", "10000", "--m", "10000", "--p-grid", grid]
-        work = "exact moments need 1.6e+11 squared digits of den(p) powers"
-        self._refused_before_computing(capsys, monkeypatch, argv, work)
+        self._refused_before_computing(capsys, monkeypatch, argv)
         p = grid.split(":")[1]
         moments_argv = ["moments", "--n", "10000", "--m", "10000", "--p", p]
         self._refused_before_computing(capsys, monkeypatch, moments_argv)
 
     # E[X]'s denominator is den(p)^(2m) / gcd(n - 1, den(p)^(2m)): 10^5600 at 2 x 700,
     # p = 10^-4, and 10^4800 at 400 x 400, p = 10^-6, past 4300 digits, so JSON scan and
-    # moments exit 3 before the work. CSV prints it only as a decimal.
+    # moments exit 3 as they print it, after one call of moments. CSV prints it only as
+    # a decimal.
     @pytest.mark.parametrize(
         "n,m,p", [(2, 700, "1e-4"), (400, 400, "0.000001")], ids=["2x700", "400x400"]
     )
@@ -895,9 +900,8 @@ class TestScanCommand:
         s = stats.moments(pgf.ModelParams(n, m, Fraction(p)))
         row = ",".join(map(cli._dec, [Fraction(p), s.mean_x, s.mean_y, s.cov, s.corr]))
         assert out.splitlines() == ["p,mean_x,mean_y,cov,corr", row]
-        json_argv = ["scan", *shape, *grid, "--format", "json"]
-        self._refused_before_computing(capsys, monkeypatch, json_argv)
-        self._refused_before_computing(capsys, monkeypatch, ["moments", *shape, "--p", p])
+        refused_after_one_call(capsys, monkeypatch, ["scan", *shape, *grid, "--format", "json"])
+        refused_after_one_call(capsys, monkeypatch, ["moments", *shape, "--p", p])
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["scan", "--n", "3", "--m", "4", "--p-grid", "0:1:0.2"]
@@ -956,8 +960,29 @@ def must_not_run(*args, **kwargs):
     raise AssertionError("work ran although the admission gate refuses the input")
 
 
+def counted_moments(monkeypatch) -> list:
+    """Record the model of each call of ``cli.moments``, which still computes."""
+    calls = []
+
+    def counted(params, mode):
+        calls.append(params)
+        return stats.moments(params, mode)
+
+    monkeypatch.setattr(cli, "moments", counted)
+    return calls
+
+
+def refused_after_one_call(capsys, monkeypatch, argv):
+    """argv calls moments once, then exits 3 with nothing on stdout as it prints an
+    integer past the int-to-str limit."""
+    calls = counted_moments(monkeypatch)
+    assert run(capsys, argv) == (3, "", f"error: {cli._too_many_digits()}\n")
+    assert len(calls) == 1
+
+
 class TestAdmission:
-    """Input classes that only ``cli._admit`` bounds: refused before any work, or answered."""
+    """Input classes that ``cli._admit`` bounds: refused before any work, or answered, or
+    for exact moments past the int-to-str limit, refused as they are printed."""
 
     # Answered now that the closed forms skip the powers a factor n-1 = 0 multiplies.
     @pytest.mark.parametrize(
@@ -1030,7 +1055,8 @@ class TestAdmission:
     # Var X (Var Y) has denominator 7^5200, over 4300 digits, and so has cov in the scan;
     # the means' denominators, 7^2600 and 7^6, are within the limit. In the last two only
     # a numerator passes it: Var Y's is 4302 digits over a 4300-digit denominator, and at
-    # n = 10^2200, m = 1, Var X is about n^2 / 16, a 4400-digit numerator over 16.
+    # n = 10^2200, m = 1, Var X is about n^2 / 16, a 4400-digit numerator over 16. Each
+    # is within the work bound, and is refused as it is printed.
     @pytest.mark.parametrize(
         "argv",
         [
@@ -1042,13 +1068,48 @@ class TestAdmission:
         ],
         ids=["var_x", "var_y", "scan-cov", "numerator", "numerator-n-past-2200-digits"],
     )
-    def test_exact_moment_digits_refused_before_work(self, capsys, monkeypatch, argv):
+    def test_exact_moment_digits_refused(self, capsys, monkeypatch, argv):
+        refused_after_one_call(capsys, monkeypatch, argv)
+
+    # Each prints a 4300-digit integer, just within the limit: Var Y's denominator at
+    # 541 x 500, p = 96/97 (at p = 8/97, above, its numerator has 4302 digits), Var X's
+    # numerator and denominator at 20 x 541, and cov's denominator at 541 x 541.
+    @pytest.mark.parametrize(
+        "command,n,m,p,fmt",
+        [("moments", 541, 500, "96/97", "csv"), ("moments", 20, 541, "8/97", "json"),
+         ("scan", 541, 541, "8/97", "json")],
+        ids=["moments", "moments-json", "scan-json"],
+    )
+    def test_exact_moments_printed_up_to_the_limit(self, capsys, command, n, m, p, fmt):
+        point = ["--p", p] if command == "moments" else ["--p-grid", f"{p}:{p}:1"]
+        argv = [command, "--n", str(n), "--m", str(m), *point, "--format", fmt]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        fields = {"p": Fraction(p), **vars(stats.moments(pgf.ModelParams(n, m, Fraction(p))))}
+        if fmt == "csv":
+            rows = [line.split(",")[:2] for line in out.splitlines()[1:6]]
+            assert rows == [[name, cli._frac(fields[name])]
+                            for name in ("mean_x", "mean_y", "var_x", "var_y", "cov")]
+            return
+        result = json.loads(out)["result"]
+        if command == "scan":
+            (result,) = result
+        del result["corr"]
+        assert result == {name: cli._json_value(fields[name]) for name in result}
+
+    # a side of 10^400 is past the doubles, and so is the work's figure; the exact
+    # moments twin is TestMomentsCommand's 1e400x2
+    def test_exact_scan_side_past_the_doubles(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "moments", must_not_run)
-        assert run(capsys, argv) == (3, "", f"error: {cli._too_many_digits()}\n")
+        argv = ["scan", "--n", str(10**400), "--m", "2", "--p-grid", "1/2:1/2:1"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err == ("error: exact moments need more than 1.8e+308 squared digits of den(p) "
+                       "powers (summed over the grid in scan); capped at 2e+09\n")
 
     def test_variance_bound_only_where_its_form_is_exact(self, capsys, digit_limit_640):
-        # n = 1, b = 10^320 and m - 1 = 10^320: m - 1 has more bits than n, and Var Y's
-        # denominator, 10^640 / 2, is below b^(4n) / gcd((m-1)^2, b^(4n)) = 10^640
+        # n = 1, b = 10^320 and m - 1 = 10^320: Var Y's denominator, 10^640 / 2, prints,
+        # though b^(4n) / gcd((m-1)^2, b^(4n)) = 10^640 would not
         big = 10**320
         argv = ["moments", "--n", "1", "--m", str(big + 1), "--p", f"1/{big}", "--format", "json"]
         code, out, _ = run(capsys, argv)
@@ -1096,10 +1157,10 @@ class TestAdmission:
         assert code == 0 and out.splitlines()[1] == "1,1e+400,1,0,undefined"
 
 
-# cli._admit's digit bounds on exact moments rest on this: with p = a/b in lowest terms,
-# each printed moment has reduced denominator b^e / gcd(f, b^e), E[X] with (e, f) =
-# (2m, n-1), cov with (2(n+m), (n-1)(m-1)), and Var X with (4m, (n-1)^2) where n-1 has
-# at most m bits; E[Y] and Var Y swap n and m.
+# The reduced denominators of exact moments, with p = a/b in lowest terms: each printed
+# moment has denominator b^e / gcd(f, b^e), E[X] with (e, f) = (2m, n-1), cov with
+# (2(n+m), (n-1)(m-1)), and Var X with (4m, (n-1)^2) where n-1 has at most m bits;
+# E[Y] and Var Y swap n and m.
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 40), st.integers(1, 12), st.fractions(0, 1, max_denominator=60))
 def test_moment_denominators_as_admission_states(n, m, p):
@@ -1115,41 +1176,35 @@ def test_moment_denominators_as_admission_states(n, m, p):
             assert getattr(summary, name).denominator == b**e // math.gcd(f, b**e), name
 
 
-# Sizes around the digit bounds at a limit of 640 digits: at p = 3/10, Var X at m = 160
-# has denominator exactly 10^640, and 40 x 160 passes the means' and cov's bounds.
+# Sizes around the int-to-str limit at 640 digits: at p = 3/10, Var X at m = 160 has
+# denominator exactly 10^640, and 40 x 160 prints means and cov within it.
 MOMENT_GRID_SIZES = [1, 2, 3, 40, 160, 1300]
 
 
 def test_exact_moment_digit_bounds_on_a_grid(capsys, monkeypatch, digit_limit_640):
-    """Every exact moments or JSON scan run that exits 3 is refused before moments runs,
-    and only where a fraction it prints has an integer of more than 640 digits. CSV scan
-    prints only decimals, and exits 0 on every point."""
-    calls = []
-
-    def counted(params, mode):
-        calls.append(params)
-        return stats.moments(params, mode)
-
-    monkeypatch.setattr(cli, "moments", counted)
+    """Each run calls moments once. Exact moments and JSON scan then exit 3, with
+    nothing on stdout, if and only if a fraction they print has an integer of more
+    than 640 digits; CSV scan prints only decimals, and exits 0 on every point."""
+    calls = counted_moments(monkeypatch)
     codes = []
     for n, m in itertools.product(MOMENT_GRID_SIZES, repeat=2):
         for p in ("1/2", "1/7", "3/10"):
+            summary = stats.moments(pgf.ModelParams(n, m, Fraction(p)))
             grid = ["scan", "--p-grid", f"{p}:{p}:1"]
-            for command in (["moments", "--p", p], [*grid, "--format", "json"], grid):
+            for command, printed in [
+                (["moments", "--p", p], ("mean_x", "mean_y", "var_x", "var_y", "cov")),
+                ([*grid, "--format", "json"], ("mean_x", "mean_y", "cov")),
+                (grid, ()),
+            ]:
                 calls.clear()
-                code, _, err = run(capsys, command + ["--n", str(n), "--m", str(m)])
+                code, out, err = run(capsys, command + ["--n", str(n), "--m", str(m)])
                 codes.append(code)
-                assert code in (0, 3), (n, m, p, command)
-                if code == 0:
-                    continue
-                assert command is not grid, (n, m, p, err)
-                assert not calls and "640 digits" in err, (n, m, p, command, err)
-                summary = stats.moments(pgf.ModelParams(n, m, Fraction(p)))
-                printed = ("mean_x", "mean_y", "var_x", "var_y", "cov")
-                if command[0] == "scan":
-                    printed = ("mean_x", "mean_y", "cov")
-                values = [getattr(summary, name) for name in printed]
-                assert max(max(abs(v.numerator), v.denominator) for v in values) >= 10**640, (n, m, p)
+                assert len(calls) == 1, (n, m, p, command)
+                values = [Fraction(p), *(getattr(summary, name) for name in printed)]
+                past = max(max(abs(v.numerator), v.denominator) for v in values) >= 10**640
+                assert code == (3 if past else 0), (n, m, p, command, err)
+                if past:
+                    assert (out, err) == ("", f"error: {cli._too_many_digits()}\n")
     assert len(codes) == 324 and codes.count(0) > 158 and codes.count(3) > 50
 
 
